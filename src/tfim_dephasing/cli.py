@@ -7,13 +7,8 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 import argparse
 import sys
 
-import numpy as np
-
 from .errors import BranchTrackingError, QuadratureConvergenceError
-from .exact import gamma_exact
-from .cumulants import gamma_series
-from .model import ModelParams, make_kgrid
-from .sweep import CURVE_HEADER, check_figures, load_config, run_sweep
+from .sweep import SweepConfig, check_figures, curve_csv, load_config, run_sweep
 from ._version import __version__
 
 
@@ -68,36 +63,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> "SweepConfig":
+def _config_from_args(args) -> SweepConfig:
     keys = ("lambdas", "gs", "N", "t_max", "t_steps", "orders", "outputs",
             "emit_exact", "quadrature_points", "jobs", "validate_order3", "correlators")
     overrides = {k: getattr(args, k, None) for k in keys}
     return load_config(args.config, **overrides)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _run_single(args) -> int:
-    if args.t_steps < 2 or not args.t_max > 0:
-        raise ValueError("t_steps must be >= 2 and t_max positive")
-    params = ModelParams(N=args.N, lam=args.lam, g=args.g)
-    grid = make_kgrid(params)
-    ts = np.linspace(0.0, args.t_max, args.t_steps)
-    terms = gamma_series(params, grid, ts, max_order=args.orders)
-    exact = gamma_exact(params, grid, ts).gamma
-    print(CURVE_HEADER)
-    for tm, ex in zip(terms, exact):
-        print(",".join(_fmt(v) for v in (
-            tm.t,
-            tm.gamma1.real, tm.gamma1.imag,
-            tm.gamma2.real, tm.gamma2.imag,
-            tm.gamma3.real, tm.gamma3.imag,
-            tm.truncated_sum.real, tm.truncated_sum.imag,
-            ex.real, ex.imag,
-            abs(tm.gamma2), abs(tm.gamma3),
-        )))
+    config = SweepConfig(lambdas=(args.lam,), gs=(args.g,), N=args.N, t_max=args.t_max,
+                         t_steps=args.t_steps, orders=args.orders, emit_exact=True)
+    config.validate()
+    content, _ = curve_csv(config, args.lam, args.g)
+    sys.stdout.write(content)
     return 0
 
 

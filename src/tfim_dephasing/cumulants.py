@@ -10,14 +10,13 @@ cosine kernels are elementary):
 
 with w_k = (n_k + 1)^2 (= 1 at zero temperature).  The third-order form comes
 from splitting the integration cube into its six strict-ordering cells, on
-each of which the step brackets are constants.  Both closed forms are checked
-against direct Gauss-Legendre quadrature of the kernels; for the third order
-the reference rule integrates the literal bracketed kernel numerically, either
-cell-by-cell (spectrally accurate) or on a single tensor grid over the cube
-(kink-limited, error O(points^-2)).
+each of which the step brackets are constants; the summands are even in k, so
+one kernel sums orders 2 and 3 over the k > 0 half grid, doubled.  Both closed
+forms are checked against direct Gauss-Legendre quadrature of the kernels; for
+the third order the reference rule integrates the literal bracketed kernel,
+cell-by-cell (spectral) or on one tensor grid over the cube (error O(points^-2)).
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -26,10 +25,11 @@ import numpy as np
 
 from .correlators import c1, occupation
 from .errors import FiniteBetaError, QuadratureConvergenceError
-from .model import KGrid, ModelParams
+from .model import MODE_CHUNK, KGrid, ModelParams
 
 ORDER3_POINTS_CAP = 1024
-_CHUNK = 1 << 17
+# Elements per (time x mode) block of the mode sums; bounds their temporaries.
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,41 @@ def gamma_order1(params: ModelParams, grid: KGrid, t: float) -> complex:
     return complex(0.0, 2.0 * params.g * t * c1(params, grid).value.real)
 
 
+def _series_orders(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
+    """Gamma2 and Im Gamma3 at the times ts; an order above max_order reads 0.
+
+    Sums the k > 0 half grid, doubled, in chunks of MODE_CHUNK modes by blocks
+    of about BLOCK_ELEMENTS.  The chunks depend on the mode count only and are
+    added in order, so each time's value does not depend on the other times.
+    """
+    if max_order >= 3 and not params.zero_temperature:
+        raise FiniteBetaError("order 3 requires beta = inf")
+    s2 = np.zeros_like(ts)
+    s3 = np.zeros_like(ts)
+    if max_order >= 2:
+        eps = grid.eps_pos
+        two_eps = 2.0 * eps
+        w2 = (occupation(params.beta, eps) + 1.0) ** 2 / eps**2
+        w3 = grid.sin2theta_pos**2 / eps**3
+        for lo in range(0, eps.size, MODE_CHUNK):
+            k = slice(lo, lo + MODE_CHUNK)
+            rows = max(1, BLOCK_ELEMENTS // two_eps[k].size)
+            for r in range(0, ts.size, rows):
+                i = slice(r, r + rows)
+                x = np.multiply.outer(ts[i], two_eps[k])
+                cos_x = np.cos(x)
+                s2[i] += ((1.0 - cos_x) * w2[k]).sum(axis=1)
+                if max_order >= 3:
+                    s3[i] += ((np.sin(x) - x * cos_x) * w3[k]).sum(axis=1)
+    g2 = -2.0 * params.g**2 * s2 if max_order >= 2 else s2
+    g3 = 2.0 * params.g**3 * s3 if max_order >= 3 else s3
+    return g2, g3
+
+
 def gamma_order2(params: ModelParams, grid: KGrid, t: float) -> complex:
     """Second-order term; real and <= 0."""
-    w = (occupation(params.beta, grid.eps) + 1.0) ** 2
-    val = -params.g**2 * float(
-        np.sum(w * (1.0 - np.cos(2.0 * grid.eps * t)) / grid.eps**2)
-    )
-    return complex(val, 0.0)
-
-
-def _order3_mode_sum(grid: KGrid, t: float) -> float:
-    x = 2.0 * grid.eps * t
-    return float(np.sum(grid.sin2theta**2 * (np.sin(x) - x * np.cos(x)) / grid.eps**3))
+    g2, _ = _series_orders(params, grid, np.array([t], dtype=float), 2)
+    return complex(g2[0], 0.0)
 
 
 def gamma_order3(
@@ -75,9 +98,8 @@ def gamma_order3(
     refinements agree to 1e-8 relative, capped at ORDER3_POINTS_CAP);
     disagreement raises QuadratureConvergenceError.
     """
-    if not params.zero_temperature:
-        raise FiniteBetaError("gamma_order3 requires beta = inf")
-    value = complex(0.0, params.g**3 * _order3_mode_sum(grid, t))
+    _, g3 = _series_orders(params, grid, np.array([t], dtype=float), 3)
+    value = complex(0.0, g3[0])
     if quadrature_points is not None:
         _validate_order3(params, grid, t, value, quadrature_points)
     return value
@@ -123,28 +145,12 @@ def gamma_series(
     if ts[0] < 0.0 or np.any(np.diff(ts) <= 0.0):
         raise ValueError("times must be strictly increasing and start at >= 0")
 
-    c1val = c1(params, grid).value.real
-    w = (occupation(params.beta, grid.eps) + 1.0) ** 2
-    x = 2.0 * np.outer(ts, grid.eps)
-    g1 = 2.0 * params.g * c1val * ts
-    g2 = -params.g**2 * ((1.0 - np.cos(x)) / grid.eps**2 * w).sum(axis=1)
-    if max_order >= 3:
-        if not params.zero_temperature:
-            raise FiniteBetaError("order 3 requires beta = inf")
-        g3 = params.g**3 * (
-            (np.sin(x) - x * np.cos(x)) / grid.eps**3 * grid.sin2theta**2
-        ).sum(axis=1)
-    else:
-        g3 = np.zeros_like(ts)
-
+    g1 = 2.0 * params.g * c1(params, grid).value.real * ts
+    g2, g3 = _series_orders(params, grid, ts, max_order)
     out = []
-    for i, t in enumerate(ts):
-        terms = [complex(0.0, g1[i]), complex(g2[i], 0.0), complex(0.0, g3[i])]
-        if max_order < 2:
-            terms[1] = 0j
-        if max_order < 3:
-            terms[2] = 0j
-        out.append(CumulantTerms(float(t), terms[0], terms[1], terms[2], sum(terms)))
+    for t, a, b, c in zip(ts, g1, g2, g3):
+        terms = (complex(0.0, a), complex(b, 0.0), complex(0.0, c))
+        out.append(CumulantTerms(float(t), *terms, sum(terms)))
     return out
 
 
@@ -154,14 +160,16 @@ def _leggauss01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _mode_cos_sum(eps: np.ndarray, weights: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """sum_k weights_k * cos(2 eps_k d) for every d in diffs, chunked."""
+def _mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """sum_k weights_k * cos(2 eps_k d) for every d in diffs; weights on k > 0, doubled."""
+    eps = grid.eps_pos
     flat = diffs.reshape(-1)
     out = np.empty_like(flat)
-    for i in range(0, flat.size, _CHUNK):
-        d = flat[i:i + _CHUNK]
-        out[i:i + _CHUNK] = np.cos(2.0 * np.multiply.outer(d, eps)) @ weights
-    return out.reshape(diffs.shape)
+    rows = max(1, BLOCK_ELEMENTS // eps.size)
+    for i in range(0, flat.size, rows):
+        d = flat[i:i + rows]
+        out[i:i + rows] = np.cos(2.0 * np.multiply.outer(d, eps)) @ weights
+    return 2.0 * out.reshape(diffs.shape)
 
 
 def gamma_order2_quadrature(
@@ -171,8 +179,8 @@ def gamma_order2_quadrature(
     x01, w01 = _leggauss01(points)
     x = t * x01
     w = t * w01
-    weights = (occupation(params.beta, grid.eps) + 1.0) ** 2
-    table = _mode_cos_sum(grid.eps, weights, x[:, None] - x[None, :])
+    weights = (occupation(params.beta, grid.eps_pos) + 1.0) ** 2
+    table = _mode_cos_sum(grid, weights, x[:, None] - x[None, :])
     integral = float(np.einsum("i,j,ij->", w, w, table))
     return complex(-2.0 * params.g**2 * integral, 0.0)
 
@@ -208,8 +216,7 @@ def gamma_order3_quadrature(
         raise FiniteBetaError("gamma_order3_quadrature requires beta = inf")
     if points < 2:
         raise ValueError("points must be >= 2")
-    eps = grid.eps
-    s2sq = grid.sin2theta**2
+    s2sq = grid.sin2theta_pos**2
 
     if split_orderings:
         u, wu = _leggauss01(points)
@@ -230,16 +237,16 @@ def gamma_order3_quadrature(
             T1, T2, T3 = coords
             b13, b12, b23 = _order3_kernel_brackets(T1, T2, T3)
             kern = -(
-                b13 * _mode_cos_sum(eps, s2sq, T1 - T3)
-                + b12 * _mode_cos_sum(eps, s2sq, T1 - T2)
-                + b23 * _mode_cos_sum(eps, s2sq, T2 - T3)
+                b13 * _mode_cos_sum(grid, s2sq, T1 - T3)
+                + b12 * _mode_cos_sum(grid, s2sq, T1 - T2)
+                + b23 * _mode_cos_sum(grid, s2sq, T2 - T3)
             )
             integral += float(np.sum(wt * kern))
     else:
         x01, w01 = _leggauss01(points)
         x = t * x01
         w = t * w01
-        table = _mode_cos_sum(eps, s2sq, x[:, None] - x[None, :])
+        table = _mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
         n = points
         idx = np.indices((n, n, n))
         stacked = np.stack(np.meshgrid(x, x, x, indexing="ij"))

@@ -35,7 +35,7 @@ import numpy as np
 
 from .correlators import c1
 from .errors import BranchTrackingError, FiniteBetaError
-from .model import KGrid, KMode, ModelParams
+from .model import MODE_CHUNK, KGrid, KMode, ModelParams
 
 OVERLAP_FLOOR = 1e-12
 
@@ -95,13 +95,15 @@ def _closed_form_entries(eps, s2, g, ts):
     amb = -8.0 * g * eps / (a + b)
     p = g * g * (s2 * s2 + 4.0) + eps * eps
     cm1 = -4.0 * eps * eps * g * g * s2 * s2 / (ab * ((2.0 * eps * eps - p) + ab))
-    ta = np.multiply.outer(ts, a)
-    tb = np.multiply.outer(ts, b)
-    sin_a, cos_a = np.sin(ta), np.cos(ta)
-    sin_b, cos_b = np.sin(tb), np.cos(tb)
-    re = np.cos(np.multiply.outer(ts, amb)) + cm1 * sin_a * sin_b
-    im = -(((2.0 * g - eps) / a) * sin_a * cos_b + ((2.0 * g + eps) / b) * cos_a * sin_b)
-    return (re + 1j * im) * np.exp(4j * g * ts)[:, None]
+    tx = np.multiply.outer(ts, a)
+    sin_a, cos_a = np.sin(tx), np.cos(tx)
+    np.multiply.outer(ts, b, out=tx)
+    sin_b, cos_b = np.sin(tx), np.cos(tx)
+    out = np.empty(tx.shape, dtype=complex)
+    out.real = np.cos(np.multiply.outer(ts, amb, out=tx)) + cm1 * sin_a * sin_b
+    out.imag = -(((2.0 * g - eps) / a) * sin_a * cos_b + ((2.0 * g + eps) / b) * cos_a * sin_b)
+    out *= np.exp(4j * g * ts)[:, None]
+    return out
 
 
 def mode_overlap_closed_form(
@@ -187,23 +189,27 @@ def gamma_exact(
     max_rate = float(np.max(a + b)) + 4.0 * abs(g)
     fine, idx = _refined_times(ts, max_rate)
 
-    if use_oracle:
-        entries = np.empty((fine.size, eps.size), dtype=complex)
-        for j, mode in enumerate(grid.positive_modes):
-            for i, t in enumerate(fine):
-                entries[i, j] = mode_overlap_oracle(mode, g, float(t))
-    else:
-        entries = _closed_form_entries(eps, s2, g, fine)
-
-    mags = np.abs(entries)
-    if np.any(mags < OVERLAP_FLOOR):
-        i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
-        raise BranchTrackingError(
-            f"overlap magnitude {mags[i, j]:.3e} below {OVERLAP_FLOOR} "
-            f"at t={fine[i]}, k={grid.k_pos[j]}"
-        )
-    logs = np.log(mags) + 1j * np.unwrap(np.angle(entries), axis=0)
-    gamma = logs.sum(axis=1)[idx]
+    modes = grid.positive_modes if use_oracle else None
+    gamma = np.zeros(ts.size, dtype=complex)
+    for lo in range(0, eps.size, MODE_CHUNK):
+        k = slice(lo, lo + MODE_CHUNK)
+        if use_oracle:
+            rows = [[mode_overlap_oracle(m, g, float(t)) for m in modes[k]] for t in fine]
+            entries = np.array(rows)
+        else:
+            entries = _closed_form_entries(eps[k], s2[k], g, fine)
+        mags = np.abs(entries)
+        if np.any(mags < OVERLAP_FLOOR):
+            i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
+            raise BranchTrackingError(
+                f"overlap magnitude {mags[i, j]:.3e} below {OVERLAP_FLOOR} "
+                f"at t={fine[i]}, k={grid.k_pos[lo + j]}"
+            )
+        # free the chunk's overlaps before unwrap; the branch is tracked on the
+        # fine grid, but only the requested rows are summed
+        log_mags, phases = np.log(mags[idx]), np.angle(entries)
+        del entries, mags
+        gamma += (log_mags + 1j * np.unwrap(phases, axis=0)[idx]).sum(axis=1)
 
     c1val = c1(params, grid).value.real
     phase = -2j * ts * (params.omega0 + g * c1val)

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DegenerateModeError
 
 RADICAND_FLOOR = 1e-300
+# Modes per chunk of the k > 0 half-grid sums; chunk bounds depend on N only.
+MODE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,8 @@ class KGrid:
 
     The negative-k half mirrors the positive half exactly (eps and
     cos2theta are even in k, sin2theta is odd), so pair symmetry holds to
-    the last bit.  Correlator sums run over the full N-mode grid; the exact
-    per-mode product runs over the k > 0 half only.
+    the last bit.  Correlator sums run over the full N-mode grid; the
+    decoherence sums and the exact per-mode product run over the k > 0 half.
     """
 
     N: int

@@ -75,6 +75,11 @@ class SweepConfig:
             raise ValueError("quadrature_points must be >= 8")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        written = {}
+        for point in ((lam, g) for lam in self.lambdas for g in self.gs):
+            name = curve_filename(*point)
+            if written.setdefault(name, point) != point:
+                raise ValueError(f"(lambda, g) = {written[name]} and {point} both write {name}")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -153,7 +158,8 @@ def curve_filename(lam: float, g: float) -> str:
     return f"curve_lambda{lam:g}_g{g:g}.csv"
 
 
-def _curve_rows(config: SweepConfig, lam: float, g: float):
+def curve_csv(config: SweepConfig, lam: float, g: float) -> tuple[str, str]:
+    """One point's curve file content and its summary row."""
     params = ModelParams(N=config.N, lam=lam, g=g)
     grid = make_kgrid(params)
     ts = np.linspace(0.0, config.t_max, config.t_steps)
@@ -192,7 +198,7 @@ def _curve_rows(config: SweepConfig, lam: float, g: float):
 
 def _sweep_point_task(payload):
     config, lam, g = payload
-    content, summary = _curve_rows(config, lam, g)
+    content, summary = curve_csv(config, lam, g)
     path = Path(config.outputs) / curve_filename(lam, g)
     with open(path, "w", newline="\n") as fh:
         fh.write(content)
@@ -202,11 +208,7 @@ def _sweep_point_task(payload):
 def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
     ts = np.linspace(0.0, config.t_max, config.t_steps)
     written = []
-    seen = []
-    for lam in config.lambdas:
-        if lam in seen:
-            continue
-        seen.append(lam)
+    for lam in dict.fromkeys(config.lambdas):
         params = ModelParams(N=config.N, lam=lam, g=0.0)
         grid = make_kgrid(params)
         c1val = c1(params, grid).value.real

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,33 @@ def test_gamma_series_truncation_and_identity(model):
     assert full[3].gamma1 == pytest.approx(gamma_order1(params, grid, float(ts[3])), rel=1e-14)
     assert full[3].gamma2 == pytest.approx(gamma_order2(params, grid, float(ts[3])), rel=1e-14)
     assert full[3].gamma3 == pytest.approx(gamma_order3(params, grid, float(ts[3])), rel=1e-14)
+
+
+def test_gamma_series_values_do_not_depend_on_grid(model):
+    # 10000 half-grid modes: three mode chunks; 200 times: many time blocks
+    params, grid = model(20000, 0.7, g=0.9)
+    ts = np.linspace(0.0, 6.0, 200)
+    terms = gamma_series(params, grid, ts, max_order=3)
+    for i in (0, 1, 15, 16, 17, 101, 199):
+        t = float(ts[i])
+        assert terms[i].gamma2 == gamma_order2(params, grid, t)
+        assert terms[i].gamma3 == gamma_order3(params, grid, t)
+    hot, grid = model(20000, 0.7, g=0.9, beta=0.8)
+    terms = gamma_series(hot, grid, ts, max_order=2)
+    for i in (1, 64, 198):
+        assert terms[i].gamma2 == gamma_order2(hot, grid, float(ts[i]))
+
+
+def test_gamma_series_memory_bounded_by_chunk(model):
+    params, grid = model(8000, 0.5, g=1.0)
+    ts = np.linspace(0.0, 5.0, 1024)
+    tracemalloc.start()
+    try:
+        gamma_series(params, grid, ts, max_order=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_gamma_series_zero_coupling(model):

@@ -96,6 +96,8 @@ def test_load_config_rejects_garbage(tmp_path):
         dict(quadrature_points=4),
         dict(jobs=0),
         dict(lambdas=(-0.5,)),
+        dict(lambdas=(0.97, 0.9700001)),
+        dict(gs=(1.0, 1.0000001)),
     ],
 )
 def test_config_validation(kw):
@@ -149,10 +151,13 @@ def test_run_sweep_byte_deterministic(tmp_path):
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
-    serial = run_sweep(small_config(tmp_path / "s", jobs=1))
-    parallel = run_sweep(small_config(tmp_path / "p", jobs=2))
-    for ps, pp in zip(serial, parallel):
-        assert ps.read_bytes() == pp.read_bytes()
+    # N = 20000 spans three mode chunks of the half-grid sums
+    for n, t_steps in ((16, 9), (20000, 5)):
+        serial = run_sweep(small_config(tmp_path / f"s{n}", N=n, t_steps=t_steps, jobs=1))
+        parallel = run_sweep(small_config(tmp_path / f"p{n}", N=n, t_steps=t_steps, jobs=2))
+        assert len(serial) == len(parallel) == 3
+        for ps, pp in zip(serial, parallel):
+            assert ps.read_bytes() == pp.read_bytes()
 
 
 def test_summary_consistent_with_rows(tmp_path):
@@ -287,17 +292,27 @@ def test_cli_check_failure_exit_code(tmp_path, capsys):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["sweep", "--N", "15", "--out", str(tmp_path / "x")]) == 1
     assert "error" in capsys.readouterr().err
+    # 0.97 and 0.9700001 would write the same curve file
+    colliding = ["--lambdas", "0.97,0.9700001", "--out", str(tmp_path / "x")]
+    for command in ("sweep", "check"):
+        assert main([command, *colliding]) == 1
+        assert "curve_lambda0.97_g" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
     with pytest.raises(SystemExit) as exc:
         main(["single", "--lambda", "0.5"])  # missing required flags
     assert exc.value.code == 1
     capsys.readouterr()
 
 
-def test_cli_single_stdout(capsys):
+def test_cli_single_stdout(tmp_path, capsys):
     assert main(["single", "--lambda", "0.5", "--g", "0.3", "--N", "16",
                  "--t-max", "2.0", "--t-steps", "5"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    lines = out.strip().splitlines()
     assert lines[0] == CURVE_HEADER
     assert len(lines) == 6
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0 and all(v == 0.0 for v in first[1:])
+    config = small_config(tmp_path, gs=(0.3,), t_steps=5)
+    run_sweep(config)
+    assert out == (Path(config.outputs) / curve_filename(0.5, 0.3)).read_text()
