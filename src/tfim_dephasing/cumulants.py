@@ -25,11 +25,9 @@ import numpy as np
 
 from .correlators import c1, occupation
 from .errors import FiniteBetaError, QuadratureConvergenceError
-from .model import MODE_CHUNK, KGrid, ModelParams
+from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, ModelParams
 
 ORDER3_POINTS_CAP = 1024
-# Elements per (time x mode) block of the mode sums; bounds their temporaries.
-BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)

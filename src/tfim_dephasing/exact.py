@@ -24,18 +24,22 @@ purely eps-weighted imaginary part is kept behind ``corrected=False`` for
 comparison; it violates the g = 0 identity and is not used anywhere.
 
 The decoherence function is Gamma(t) = sum_{k>0} ln A_k(t) with the per-mode
-log branch tracked continuously in t from Gamma(0) = 0.  The deterministic
-phase -2it(omega0 + g sum_k cos 2theta_k) is reported separately.
+log branch tracked continuously in t from Gamma(0) = 0: the closed form is
+evaluated at the requested times only, and e^{ita}, e^{itb}, e^{it(a-b)} are
+stepped by complex multiplication across the sub-steps between them that
+choose the branch.  The deterministic phase -2it(omega0 + g sum_k cos 2theta_k)
+is reported separately.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .correlators import c1
 from .errors import BranchTrackingError, FiniteBetaError
-from .model import MODE_CHUNK, KGrid, KMode, ModelParams
+from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, KMode, ModelParams
 
 OVERLAP_FLOOR = 1e-12
 
@@ -61,11 +65,8 @@ class DecoherenceCurve:
 
 def ab_magnitudes(mode: KMode, g: float) -> tuple[float, float]:
     """Magnitudes of the two per-mode rotation vectors; both equal eps at g = 0."""
-    gs = g * mode.sin2theta
-    return (
-        float(np.hypot(gs, 2.0 * g - mode.eps)),
-        float(np.hypot(gs, 2.0 * g + mode.eps)),
-    )
+    a, b, *_ = _coefficients(mode.eps, mode.sin2theta, g)
+    return float(a), float(b)
 
 
 def _pair_generators(mode: KMode, g: float) -> tuple[np.ndarray, np.ndarray]:
@@ -85,8 +86,8 @@ def mode_overlap_oracle(mode: KMode, g: float, t: float) -> complex:
     return complex((u_p @ u_m)[0, 0])
 
 
-def _closed_form_entries(eps, s2, g, ts):
-    """Corrected closed-form overlaps, vectorized over times (rows) and modes."""
+def _coefficients(eps, s2, g):
+    """Per-mode a, b, a - b, Cm1 and the sine weights (2g-eps)/a, (2g+eps)/b."""
     gs = g * s2
     a = np.hypot(gs, 2.0 * g - eps)
     b = np.hypot(gs, 2.0 * g + eps)
@@ -95,15 +96,57 @@ def _closed_form_entries(eps, s2, g, ts):
     amb = -8.0 * g * eps / (a + b)
     p = g * g * (s2 * s2 + 4.0) + eps * eps
     cm1 = -4.0 * eps * eps * g * g * s2 * s2 / (ab * ((2.0 * eps * eps - p) + ab))
-    tx = np.multiply.outer(ts, a)
-    sin_a, cos_a = np.sin(tx), np.cos(tx)
-    np.multiply.outer(ts, b, out=tx)
-    sin_b, cos_b = np.sin(tx), np.cos(tx)
-    out = np.empty(tx.shape, dtype=complex)
-    out.real = np.cos(np.multiply.outer(ts, amb, out=tx)) + cm1 * sin_a * sin_b
-    out.imag = -(((2.0 * g - eps) / a) * sin_a * cos_b + ((2.0 * g + eps) / b) * cos_a * sin_b)
-    out *= np.exp(4j * g * ts)[:, None]
+    return a, b, amb, cm1, (2.0 * g - eps) / a, (2.0 * g + eps) / b
+
+
+def _assemble(coef, sin_a, cos_a, sin_b, cos_b, cos_d, trace_phase):
+    """A_k from sin, cos of ta and tb, cos t(a-b), and e^{4igt} (one per row)."""
+    _, _, _, cm1, wa, wb = coef
+    out = np.empty(sin_a.shape, dtype=complex)
+    out.real = cos_d + cm1 * sin_a * sin_b
+    out.imag = -(wa * sin_a * cos_b + wb * cos_a * sin_b)
+    out *= trace_phase[:, None]
     return out
+
+
+def _closed_form_entries(eps, s2, g, ts):
+    """Corrected closed-form overlaps, vectorized over times (rows) and modes."""
+    coef = _coefficients(eps, s2, g)
+    tx = np.multiply.outer(ts, coef[0])
+    sin_a, cos_a = np.sin(tx), np.cos(tx)
+    np.multiply.outer(ts, coef[1], out=tx)
+    sin_b, cos_b = np.sin(tx), np.cos(tx)
+    cos_d = np.cos(np.multiply.outer(ts, coef[2], out=tx))
+    return _assemble(coef, sin_a, cos_a, sin_b, cos_b, cos_d, np.exp(4j * g * ts))
+
+
+def _closed_form_rows(eps, s2, g, starts, ends, r):
+    """Yield (times, overlaps) at the ends of the intervals (starts, ends], then
+    at each of their r - 1 sub-steps, which only choose the log branch: there
+    e^{ita}, e^{itb}, e^{it(a-b)} are stepped by complex multiplication from
+    each interval's start, so rounding never accumulates past one interval.
+    """
+    yield ends, _closed_form_entries(eps, s2, g, ends)
+    if r == 1:
+        return
+    coef = _coefficients(eps, s2, g)
+    h = (ends - starts) / r
+    x = (np.multiply.outer(ts, w) for w in coef[:3] for ts in (starts, h))
+    pa, sa, pb, sb, pd, sd = (np.cos(y) + 1j * np.sin(y) for y in x)
+    for j in range(1, r):
+        pa *= sa
+        pb *= sb
+        pd *= sd
+        ts = starts + j * h
+        yield ts, _assemble(coef, pa.imag, pa.real, pb.imag, pb.real, pd.real,
+                            np.exp(4j * g * ts))
+
+
+def _oracle_rows(modes, g, starts, ends, r):
+    """The rows of ``_closed_form_rows``, each entry from the matrix oracle."""
+    h = (ends - starts) / r
+    for ts in [ends] + [starts + j * h for j in range(1, r)]:
+        yield ts, np.array([[mode_overlap_oracle(m, g, float(t)) for m in modes] for t in ts])
 
 
 def mode_overlap_closed_form(
@@ -144,22 +187,22 @@ def certify_closed_form(grid: KGrid, gs, times) -> float:
     return worst
 
 
-def _refined_times(times: np.ndarray, max_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time grid densified so per-step phase advance stays below pi/2.
+def _refinement(times: np.ndarray, max_rate: float) -> int:
+    """Sub-steps per interval between requested times that advance phase < pi/2."""
+    step = float(np.max(np.diff(times, prepend=0.0)))
+    return max(1, math.ceil(max_rate * step / (0.5 * math.pi)))
 
-    Returns the fine grid (starting at 0) and the indices of the requested
-    times within it.
-    """
-    anchors = times if times[0] == 0.0 else np.concatenate([[0.0], times])
-    step = float(np.max(np.diff(anchors))) if anchors.size > 1 else 0.0
-    r = max(1, math.ceil(max_rate * step / (0.5 * math.pi))) if step > 0.0 else 1
-    segments = [np.array([0.0])]
-    for lo, hi in zip(anchors[:-1], anchors[1:]):
-        segments.append(np.linspace(lo, hi, r + 1)[1:])
-    fine = np.concatenate(segments)
-    offset = 0 if times[0] == 0.0 else 1
-    idx = (np.arange(len(times)) + offset) * r
-    return fine, idx
+
+def _checked_angles(ts, entries, k_pos):
+    """Magnitudes and angles of the overlaps; raises below OVERLAP_FLOOR."""
+    mags = np.abs(entries)
+    if np.any(mags < OVERLAP_FLOOR):
+        i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
+        raise BranchTrackingError(
+            f"overlap magnitude {mags[i, j]:.3e} below {OVERLAP_FLOOR} "
+            f"at t={ts[i]}, k={k_pos[j]}"
+        )
+    return mags, np.angle(entries)
 
 
 def gamma_exact(
@@ -170,8 +213,16 @@ def gamma_exact(
 ) -> DecoherenceCurve:
     """Exact Gamma(t) = sum_{k>0} ln A_k(t) with continuous branch tracking.
 
-    Raises BranchTrackingError if any per-mode overlap magnitude falls below
-    OVERLAP_FLOOR (the log diverges at a genuine zero of the overlap).
+    The branch of ln A_k counts the 2 pi wraps of arg A_k (the np.unwrap rule)
+    over r equal sub-steps per interval between requested times (from t = 0).
+    Modes are summed in chunks of MODE_CHUNK and time is walked in blocks of
+    about BLOCK_ELEMENTS sub-step samples, carrying each mode's wrap count,
+    so memory is bounded by a block.  ``use_oracle`` takes every overlap from
+    the matrix oracle instead of the closed form and its stepped phasors.
+
+    Raises BranchTrackingError if any per-mode overlap magnitude, sub-steps
+    included, falls below OVERLAP_FLOOR (the log diverges at a genuine zero
+    of the overlap).
     """
     if not params.zero_temperature:
         raise FiniteBetaError("gamma_exact requires beta = inf")
@@ -184,32 +235,32 @@ def gamma_exact(
     eps = grid.eps_pos
     s2 = grid.sin2theta_pos
     g = params.g
-    a = np.hypot(g * s2, 2.0 * g - eps)
-    b = np.hypot(g * s2, 2.0 * g + eps)
-    max_rate = float(np.max(a + b)) + 4.0 * abs(g)
-    fine, idx = _refined_times(ts, max_rate)
+    a, b, *_ = _coefficients(eps, s2, g)
+    r = _refinement(ts, float(np.max(a + b)) + 4.0 * abs(g))
+    starts = np.concatenate([[0.0], ts[:-1]])
 
     modes = grid.positive_modes if use_oracle else None
     gamma = np.zeros(ts.size, dtype=complex)
     for lo in range(0, eps.size, MODE_CHUNK):
         k = slice(lo, lo + MODE_CHUNK)
-        if use_oracle:
-            rows = [[mode_overlap_oracle(m, g, float(t)) for m in modes[k]] for t in fine]
-            entries = np.array(rows)
-        else:
-            entries = _closed_form_entries(eps[k], s2[k], g, fine)
-        mags = np.abs(entries)
-        if np.any(mags < OVERLAP_FLOOR):
-            i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
-            raise BranchTrackingError(
-                f"overlap magnitude {mags[i, j]:.3e} below {OVERLAP_FLOOR} "
-                f"at t={fine[i]}, k={grid.k_pos[lo + j]}"
-            )
-        # free the chunk's overlaps before unwrap; the branch is tracked on the
-        # fine grid, but only the requested rows are summed
-        log_mags, phases = np.log(mags[idx]), np.angle(entries)
-        del entries, mags
-        gamma += (log_mags + 1j * np.unwrap(phases, axis=0)[idx]).sum(axis=1)
+        k_pos = grid.k_pos[k]
+        rows = max(1, BLOCK_ELEMENTS // (r * k_pos.size))
+        end_arg = end_wraps = np.zeros(k_pos.size)  # at t = 0, where A_k = 1
+        for i in range(0, ts.size, rows):
+            blk = slice(i, i + rows)
+            fine = (_oracle_rows(modes[k], g, starts[blk], ts[blk], r) if use_oracle
+                    else _closed_form_rows(eps[k], s2[k], g, starts[blk], ts[blk], r))
+            mags, arg = _checked_angles(*next(fine), k_pos)
+            prev = np.vstack([end_arg, arg[:-1]])
+            wraps = np.zeros_like(arg)
+            for nxt in chain((_checked_angles(*row, k_pos)[1] for row in fine), [arg]):
+                step = nxt - prev
+                wraps += step < -np.pi
+                wraps -= step > np.pi
+                prev = nxt
+            wraps = end_wraps + np.cumsum(wraps, axis=0)
+            gamma[blk] += (np.log(mags) + 1j * (arg + 2.0 * np.pi * wraps)).sum(axis=1)
+            end_arg, end_wraps = arg[-1], wraps[-1]
 
     c1val = c1(params, grid).value.real
     phase = -2j * ts * (params.omega0 + g * c1val)

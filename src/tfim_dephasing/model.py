@@ -25,6 +25,8 @@ from .errors import DegenerateModeError
 RADICAND_FLOOR = 1e-300
 # Modes per chunk of the k > 0 half-grid sums; chunk bounds depend on N only.
 MODE_CHUNK = 4096
+# Elements per (time x mode) block of the mode kernels; bounds their temporaries.
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)

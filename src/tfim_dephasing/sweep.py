@@ -15,6 +15,7 @@ reruns of the same configuration are byte-identical.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -196,12 +197,22 @@ def curve_csv(config: SweepConfig, lam: float, g: float) -> tuple[str, str]:
     return "\n".join(lines) + "\n", summary
 
 
+def _write_text(path: Path, text: str):
+    """Write to a temporary file renamed into place: never a truncated ``path``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _sweep_point_task(payload):
     config, lam, g = payload
     content, summary = curve_csv(config, lam, g)
     path = Path(config.outputs) / curve_filename(lam, g)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(content)
+    _write_text(path, content)
     return path, summary
 
 
@@ -221,8 +232,7 @@ def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
                 c3_irreducible(params, grid, float(t), float(t) / 2.0, 0.0).value.real,
             )))
         path = Path(config.outputs) / f"correlators_lambda{lam:g}.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
     return written
 
@@ -239,19 +249,22 @@ def run_sweep(config: SweepConfig) -> list[Path]:
     if config.validate_order3 and config.orders >= 3:
         _validate_order3_once(config)
 
+    # a repeated point is computed once but keeps its summary rows; validate()
+    # makes equal file names mean equal points
     points = [(lam, g) for lam in config.lambdas for g in config.gs]
-    payloads = [(config, lam, g) for lam, g in points]
+    names = [curve_filename(lam, g) for lam, g in points]
+    unique = dict(zip(names, points))
+    payloads = [(config, *point) for point in unique.values()]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_sweep_point_task, payloads))
     else:
         results = [_sweep_point_task(p) for p in payloads]
+    summaries = dict(zip(unique, (summary for _, summary in results)))
 
     summary_path = outdir / "summary.csv"
-    with open(summary_path, "w", newline="\n") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for _, summary in results:
-            fh.write(summary + "\n")
+    _write_text(summary_path, "".join(
+        f"{line}\n" for line in [SUMMARY_HEADER] + [summaries[n] for n in names]))
     return [path for path, _ in results] + [summary_path]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,47 @@ def test_gamma_exact_branch_tracking_consistency(model):
     coarse = gamma_exact(params, grid, coarse_t).gamma
     dense = gamma_exact(params, grid, dense_t).gamma
     assert np.max(np.abs(coarse - dense[::256])) < 1e-9
+
+
+@pytest.mark.parametrize("steps, density", [(32, 16), (8, 128)])
+@pytest.mark.parametrize("lam", [0.5, 0.9, 1.0, 1.5])
+def test_gamma_exact_substeps_keep_branch(model, lam, steps, density):
+    """Sub-steps stepped between requested times pick the same branch as
+    requesting every sub-step time directly."""
+    params, grid = model(2000, lam, g=2.5)
+    # the coarse grids need 13-55 sub-steps per interval, the dense ones none;
+    # on 8 steps, dropping the sub-steps moves Im Gamma by thousands
+    coarse = gamma_exact(params, grid, np.linspace(0, 30, steps)).gamma
+    dense_ts = np.linspace(0, 30, density * (steps - 1) + 1)
+    dense = gamma_exact(params, grid, dense_ts).gamma[::density]
+    assert np.max(np.abs(coarse.imag - dense.imag)) < 1e-9
+    assert np.max(np.abs(coarse.real - dense.real) / np.abs(dense.real).clip(1e-300)) < 1e-13
+
+
+def test_substep_overlaps_match_closed_form(model):
+    """The stepped phasors reproduce the closed form on uneven intervals."""
+    _, grid = model(64, 0.9)
+    eps, s2 = grid.eps_pos, grid.sin2theta_pos
+    starts, ends = np.array([0.0, 1.3, 4.0]), np.array([1.3, 4.0, 4.5])
+    row_sets = exact_mod._closed_form_rows(eps, s2, 2.5, starts, ends, 9)
+    seen = []
+    for ts, entries in row_sets:  # the sub-steps share one buffer: compare in turn
+        seen.append(ts)
+        direct = exact_mod._closed_form_entries(eps, s2, 2.5, ts)
+        assert np.max(np.abs(entries - direct)) < 1e-13
+    assert len(seen) == 9 and np.array_equal(seen[0], ends)
+
+
+def test_gamma_exact_memory_bounded_by_block(model):
+    params, grid = model(8000, 0.9, g=2.5)
+    ts = np.linspace(0, 30, 32)
+    tracemalloc.start()
+    try:
+        gamma_exact(params, grid, ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_gamma_exact_oracle_route_matches(model):

@@ -1,10 +1,12 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tfim_dephasing.cumulants as cumulants
+import tfim_dephasing.sweep as sweep_module
 from tfim_dephasing import (
     CURVE_HEADER,
     ModelParams,
@@ -158,6 +160,70 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
         assert len(serial) == len(parallel) == 3
         for ps, pp in zip(serial, parallel):
             assert ps.read_bytes() == pp.read_bytes()
+
+
+def test_run_sweep_repeated_point_computed_once(tmp_path, monkeypatch):
+    calls = []
+    curve_csv = sweep_module.curve_csv
+
+    def counting_curve_csv(config, lam, g):
+        calls.append((lam, g))
+        return curve_csv(config, lam, g)
+
+    monkeypatch.setattr(sweep_module, "curve_csv", counting_curve_csv)
+    lambdas = (0.5, 1.3, 0.5)
+    paths = run_sweep(small_config(tmp_path / "s", lambdas=lambdas))
+    assert calls == [(0.5, 0.0), (0.5, 0.5), (1.3, 0.0), (1.3, 0.5)]
+    assert len(paths) == 5
+    summary = paths[-1].read_text().splitlines()
+    assert len(summary) == 1 + 6
+    assert summary[1:3] == summary[5:7]
+    parallel = run_sweep(small_config(tmp_path / "p", lambdas=lambdas, jobs=2))
+    for ps, pp in zip(paths, parallel, strict=True):
+        assert ps.read_bytes() == pp.read_bytes()
+
+
+def test_run_sweep_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    """A write that fails part-way leaves no truncated or temporary file behind."""
+    config = small_config(tmp_path / "out")
+    outdir = Path(config.outputs)
+    outdir.mkdir(parents=True)
+    previous = outdir / curve_filename(0.5, 0.5)
+    previous.write_text("previous run\n")
+    real_open = open
+    writes = []
+
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    def open_failing_second_write(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        writes.append(file)
+        return DiskFull(fh) if len(writes) == 2 else fh
+
+    monkeypatch.setattr(sweep_module, "open", open_failing_second_write, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(config)
+    monkeypatch.undo()
+    assert len(writes) == 2
+    assert previous.read_text() == "previous run\n"
+    assert sorted(os.listdir(outdir)) == sorted([curve_filename(0.5, 0.0), previous.name])
+    reference = run_sweep(small_config(tmp_path / "ref"))
+    assert (outdir / curve_filename(0.5, 0.0)).read_bytes() == reference[0].read_bytes()
 
 
 def test_summary_consistent_with_rows(tmp_path):
