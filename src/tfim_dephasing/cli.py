@@ -6,9 +6,13 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 
 import argparse
 import sys
+from dataclasses import fields
+from functools import partial
 
 from .errors import BranchTrackingError, QuadratureConvergenceError
-from .sweep import SweepConfig, check_figures, curve_csv, load_config, run_sweep
+from .sweep import (
+    SweepConfig, check_figures, curve_csv, load_config, parse_config_value, run_sweep,
+)
 from ._version import __version__
 
 
@@ -21,27 +25,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(s) for s in raw.split(",") if s.strip())
-
-
 def _add_sweep_flags(p):
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--lambdas", type=_float_list, help="comma-separated field values")
-    p.add_argument("--gs", type=_float_list, help="comma-separated coupling values")
-    p.add_argument("--N", type=int, dest="N", help="number of bath spins (even)")
-    p.add_argument("--t-max", type=float, dest="t_max")
-    p.add_argument("--t-steps", type=int, dest="t_steps")
-    p.add_argument("--orders", type=int, choices=(1, 2, 3))
-    p.add_argument("--out", dest="outputs", help="output directory")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--quadrature-points", type=int, dest="quadrature_points")
-    p.add_argument("--emit-exact", action="store_const", const=True, dest="emit_exact")
-    p.add_argument("--correlators", action="store_const", const=True,
-                   help="dump correlator values instead of decoherence curves")
-    p.add_argument("--validate-order3", action="store_const", const=True,
-                   dest="validate_order3",
-                   help="check the order-3 closed form against quadrature before sweeping")
+    for f in fields(SweepConfig):
+        parse = partial(parse_config_value, f.name)
+        parse.__name__ = f.name  # argparse reports "invalid <__name__> value"
+        kind = dict(action="store_const", const=True) if f.type is bool else dict(type=parse)
+        p.add_argument("--" + f.metadata.get("key", f.name).replace("_", "-"), dest=f.name,
+                       help=f.metadata.get("help"), **kind)
 
 
 def _build_parser() -> _Parser:
@@ -64,16 +55,12 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> SweepConfig:
-    keys = ("lambdas", "gs", "N", "t_max", "t_steps", "orders", "outputs",
-            "emit_exact", "quadrature_points", "jobs", "validate_order3", "correlators")
-    overrides = {k: getattr(args, k, None) for k in keys}
-    return load_config(args.config, **overrides)
+    return load_config(args.config, **{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
 
 
 def _run_single(args) -> int:
-    config = SweepConfig(lambdas=(args.lam,), gs=(args.g,), N=args.N, t_max=args.t_max,
+    config = load_config(None, lambdas=(args.lam,), gs=(args.g,), N=args.N, t_max=args.t_max,
                          t_steps=args.t_steps, orders=args.orders, emit_exact=True)
-    config.validate()
     content, _ = curve_csv(config, args.lam, args.g)
     sys.stdout.write(content)
     return 0

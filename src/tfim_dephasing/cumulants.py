@@ -25,7 +25,7 @@ import numpy as np
 
 from .correlators import c1, occupation
 from .errors import FiniteBetaError, QuadratureConvergenceError
-from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, ModelParams
+from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, ModelParams, checked_times
 
 ORDER3_POINTS_CAP = 1024
 
@@ -137,11 +137,7 @@ def gamma_series(
     """Evaluate the per-order terms on a time grid; orders above max_order are zero."""
     if max_order not in (1, 2, 3):
         raise ValueError(f"max_order must be 1, 2 or 3, got {max_order}")
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("times must be a non-empty 1-D array")
-    if ts[0] < 0.0 or np.any(np.diff(ts) <= 0.0):
-        raise ValueError("times must be strictly increasing and start at >= 0")
+    ts = checked_times(times)
 
     g1 = 2.0 * params.g * c1(params, grid).value.real * ts
     g2, g3 = _series_orders(params, grid, ts, max_order)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .correlators import c1
 from .errors import BranchTrackingError, FiniteBetaError
-from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, KMode, ModelParams
+from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, KMode, ModelParams, checked_times
 
 OVERLAP_FLOOR = 1e-12
 
@@ -226,11 +226,7 @@ def gamma_exact(
     """
     if not params.zero_temperature:
         raise FiniteBetaError("gamma_exact requires beta = inf")
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("times must be a non-empty 1-D array")
-    if ts[0] < 0.0 or np.any(np.diff(ts) <= 0.0):
-        raise ValueError("times must be strictly increasing and start at >= 0")
+    ts = checked_times(times)
 
     eps = grid.eps_pos
     s2 = grid.sin2theta_pos

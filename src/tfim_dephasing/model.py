@@ -72,21 +72,35 @@ class ModelParams:
         return math.isinf(self.beta)
 
 
+def _mode_data(k, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eps_k, cos 2theta_k, sin 2theta_k) on k (scalar or array) from the quotient forms."""
+    rad = 1.0 - 2.0 * lam * np.cos(k) + lam**2
+    if np.any(rad < RADICAND_FLOOR):
+        raise DegenerateModeError(f"gapless mode at lam={lam}: min radicand {np.min(rad)}")
+    root = np.sqrt(rad)
+    return 2.0 * root, (np.cos(k) - lam) / root, np.sin(k) / root
+
+
 def dispersion(k: float, lam: float) -> float:
     """Single-mode excitation energy eps_k = 2*sqrt(1 - 2*lam*cos k + lam^2)."""
-    rad = 1.0 - 2.0 * lam * math.cos(k) + lam * lam
-    if rad < RADICAND_FLOOR:
-        raise DegenerateModeError(f"gapless mode: radicand {rad} at k={k}, lam={lam}")
-    return 2.0 * math.sqrt(rad)
+    return float(_mode_data(k, lam)[0])
 
 
 def bogoliubov_angles(k: float, lam: float) -> tuple[float, float]:
     """Return (cos 2theta_k, sin 2theta_k) from the explicit quotient forms."""
-    rad = 1.0 - 2.0 * lam * math.cos(k) + lam * lam
-    if rad < RADICAND_FLOOR:
-        raise DegenerateModeError(f"gapless mode: radicand {rad} at k={k}, lam={lam}")
-    root = math.sqrt(rad)
-    return (math.cos(k) - lam) / root, math.sin(k) / root
+    _, cos2, sin2 = _mode_data(k, lam)
+    return float(cos2), float(sin2)
+
+
+def checked_times(times) -> np.ndarray:
+    """``times`` as a float array; raises ValueError unless it is a non-empty 1-D
+    array of finite, strictly increasing values starting at >= 0."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("times must be a non-empty 1-D array")
+    if not np.all(np.isfinite(ts)) or ts[0] < 0.0 or np.any(np.diff(ts) <= 0.0):
+        raise ValueError("times must be finite, strictly increasing and start at >= 0")
+    return ts
 
 
 @dataclass(frozen=True)
@@ -125,10 +139,6 @@ class KGrid:
         return self.eps[self.N // 2:]
 
     @property
-    def cos2theta_pos(self) -> np.ndarray:
-        return self.cos2theta[self.N // 2:]
-
-    @property
     def sin2theta_pos(self) -> np.ndarray:
         return self.sin2theta[self.N // 2:]
 
@@ -149,15 +159,7 @@ def make_kgrid(params: ModelParams) -> KGrid:
     n_half = params.N // 2
     l = np.arange(1, n_half + 1)
     k_pos = (2 * l - 1) * np.pi / params.N
-    rad = 1.0 - 2.0 * params.lam * np.cos(k_pos) + params.lam**2
-    if np.any(rad < RADICAND_FLOOR):
-        raise DegenerateModeError(
-            f"gapless grid mode at lam={params.lam}: min radicand {rad.min()}"
-        )
-    root = np.sqrt(rad)
-    eps_pos = 2.0 * root
-    cos2_pos = (np.cos(k_pos) - params.lam) / root
-    sin2_pos = np.sin(k_pos) / root
+    eps_pos, cos2_pos, sin2_pos = _mode_data(k_pos, params.lam)
     return KGrid(
         N=params.N,
         lam=params.lam,

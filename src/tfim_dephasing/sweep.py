@@ -17,7 +17,7 @@ reruns of the same configuration are byte-identical.
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,24 +44,31 @@ VALIDATION_MODES = 32
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters; file values can be overridden by CLI flags."""
+    """Sweep parameters; each field is a config-file key and a CLI flag (file
+    values can be overridden by flags), renamed by ``metadata["key"]``."""
 
-    lambdas: tuple[float, ...] = (0.0, 0.5, 0.97, 1.0, 2.0)
-    gs: tuple[float, ...] = (0.01, 1.0)
-    N: int = 1000
+    lambdas: tuple[float, ...] = field(
+        default=(0.0, 0.5, 0.97, 1.0, 2.0), metadata={"help": "comma-separated field values"})
+    gs: tuple[float, ...] = field(
+        default=(0.01, 1.0), metadata={"help": "comma-separated coupling values"})
+    N: int = field(default=1000, metadata={"help": "number of bath spins (even)"})
     t_max: float = 5.0
     t_steps: int = 64
     orders: int = 3
-    outputs: str = "sweep_out"
+    outputs: str = field(default="sweep_out", metadata={"key": "out", "help": "output directory"})
     emit_exact: bool = False
     quadrature_points: int = 128
     jobs: int = 1
-    validate_order3: bool = False
-    correlators: bool = False
+    validate_order3: bool = field(default=False, metadata={
+        "help": "check the order-3 closed form against quadrature before sweeping"})
+    correlators: bool = field(default=False, metadata={
+        "help": "dump correlator values instead of decoherence curves"})
 
     def validate(self):
         if not self.lambdas or not self.gs:
             raise ValueError("lambdas and gs must be non-empty")
+        if not all(math.isfinite(v) for v in (*self.lambdas, *self.gs, self.t_max)):
+            raise ValueError("lambdas, gs and t_max must be finite")
         if any(lam < 0 for lam in self.lambdas):
             raise ValueError("lambdas must be >= 0")
         if self.N < 2 or self.N % 2 != 0:
@@ -83,44 +90,35 @@ class SweepConfig:
                 raise ValueError(f"(lambda, g) = {written[name]} and {point} both write {name}")
 
 
+_FIELDS = {f.name: f for f in fields(SweepConfig)}
+_FILE_KEYS = {key.lower(): f.name for f in _FIELDS.values()
+              for key in (f.name, f.metadata.get("key", f.name))}
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-_CONFIG_KEYS = {
-    "lambdas": "lambdas",
-    "gs": "gs",
-    "n": "N",
-    "t_max": "t_max",
-    "t_steps": "t_steps",
-    "orders": "orders",
-    "out": "outputs",
-    "outputs": "outputs",
-    "emit_exact": "emit_exact",
-    "quadrature_points": "quadrature_points",
-    "jobs": "jobs",
-    "validate_order3": "validate_order3",
-    "correlators": "correlators",
-}
 
-
-def _parse_bool(raw: str, key: str) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ValueError(f"config key {key}: expected a boolean, got {raw!r}") from None
-
-
-def _parse_float_list(raw: str, key: str) -> tuple[float, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    if not items:
-        raise ValueError(f"config key {key}: empty list")
-    return tuple(float(s) for s in items)
+def parse_config_value(name: str, raw: str):
+    """Parse one file or flag value for the SweepConfig field ``name`` by its type:
+    a boolean word, int, float, str, or a comma-separated list of floats."""
+    kind = _FIELDS[name].type
+    if kind is bool:
+        try:
+            return _BOOL_WORDS[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"{name}: expected a boolean, got {raw!r}") from None
+    if kind == tuple[float, ...]:
+        items = [s.strip() for s in raw.split(",") if s.strip()]
+        if not items:
+            raise ValueError(f"{name}: empty list")
+        return tuple(float(s) for s in items)
+    return kind(raw)
 
 
 def load_config(path, **overrides) -> SweepConfig:
     """Read a flat ``key = value`` config file and apply keyword overrides.
 
-    Lists are comma separated; '#' starts a comment; unknown keys are
-    rejected.  ``path=None`` starts from the defaults.
+    Keys are field names (in any case in the file, where ``out`` is ``outputs``);
+    lists are comma separated; '#' starts a comment; unknown keys are rejected;
+    ``None`` overrides are ignored.  ``path=None`` starts from the defaults.
     """
     values = {}
     if path is not None:
@@ -131,20 +129,13 @@ def load_config(path, **overrides) -> SweepConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (s.strip() for s in line.split("=", 1))
-            try:
-                attr = _CONFIG_KEYS[key.lower()]
-            except KeyError:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}") from None
-            if attr in ("lambdas", "gs"):
-                values[attr] = _parse_float_list(raw, key)
-            elif attr in ("N", "t_steps", "orders", "quadrature_points", "jobs"):
-                values[attr] = int(raw)
-            elif attr == "t_max":
-                values[attr] = float(raw)
-            elif attr == "outputs":
-                values[attr] = raw
-            else:
-                values[attr] = _parse_bool(raw, key)
+            name = _FILE_KEYS.get(key.lower())
+            if name is None:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[name] = parse_config_value(name, raw)
+    unknown = overrides.keys() - _FIELDS.keys()
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
     values.update({k: v for k, v in overrides.items() if v is not None})
     config = SweepConfig(**values)
     config.validate()

@@ -239,6 +239,9 @@ def test_gamma_series_time_validation(model):
         gamma_series(params, grid, np.array([-0.5, 1.0]))
     with pytest.raises(ValueError):
         gamma_series(params, grid, np.array([]))
+    for bad in ([0.0, np.nan], [0.0, np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            gamma_series(params, grid, np.array(bad))
     with pytest.raises(ValueError):
         gamma_series(params, grid, np.linspace(0, 1, 4), max_order=4)
 

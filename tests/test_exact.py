@@ -137,6 +137,9 @@ def test_gamma_exact_time_validation(model):
         gamma_exact(params, grid, np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         gamma_exact(params, grid, np.array([-1.0, 0.5]))
+    for bad in ([0.0, np.nan], [0.0, np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            gamma_exact(params, grid, np.array(bad))
     with pytest.raises(FiniteBetaError):
         p_hot, _ = model(8, 0.5, g=0.2, beta=2.0)
         gamma_exact(p_hot, grid, np.array([0.0, 1.0]))

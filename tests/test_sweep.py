@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tfim_dephasing.cli as cli
 import tfim_dephasing.cumulants as cumulants
 import tfim_dephasing.sweep as sweep_module
 from tfim_dephasing import (
@@ -84,6 +86,8 @@ def test_load_config_rejects_garbage(tmp_path):
     bad.write_text("no equals sign here\n")
     with pytest.raises(ValueError):
         load_config(bad)
+    with pytest.raises(ValueError, match="frequency"):
+        load_config(None, frequency=12)
 
 
 @pytest.mark.parametrize(
@@ -100,11 +104,56 @@ def test_load_config_rejects_garbage(tmp_path):
         dict(lambdas=(-0.5,)),
         dict(lambdas=(0.97, 0.9700001)),
         dict(gs=(1.0, 1.0000001)),
+        dict(t_max=math.inf),
+        dict(t_max=math.nan),
+        dict(lambdas=(0.5, math.nan)),
+        dict(lambdas=(math.inf,)),
+        dict(gs=(0.01, -math.inf)),
+        dict(gs=(math.nan,)),
     ],
 )
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         load_config(None, **kw)
+
+
+# one non-default raw value per SweepConfig field, with the field's CLI flag
+FIELD_VALUES = {
+    "lambdas": ("--lambdas", "0.25, 1.5"),
+    "gs": ("--gs", "0.3"),
+    "N": ("--N", "32"),
+    "t_max": ("--t-max", "2.5"),
+    "t_steps": ("--t-steps", "7"),
+    "orders": ("--orders", "2"),
+    "outputs": ("--out", "elsewhere"),
+    "emit_exact": ("--emit-exact", "true"),
+    "quadrature_points": ("--quadrature-points", "16"),
+    "jobs": ("--jobs", "2"),
+    "validate_order3": ("--validate-order3", "true"),
+    "correlators": ("--correlators", "true"),
+}
+
+
+def test_config_file_and_flags_agree(tmp_path, capsys):
+    assert set(FIELD_VALUES) == {f.name for f in dataclasses.fields(SweepConfig)}
+    parser = cli._build_parser()
+    cfg_file = tmp_path / "one.cfg"
+    for name, (flag, raw) in FIELD_VALUES.items():
+        cfg_file.write_text(f"{name} = {raw}\n")
+        from_file = load_config(cfg_file)
+        argv = [flag] if isinstance(getattr(SweepConfig(), name), bool) else [flag, raw]
+        from_flag = cli._config_from_args(parser.parse_args(["sweep", *argv]))
+        assert from_file == from_flag
+        assert getattr(from_file, name) != getattr(SweepConfig(), name)
+    for line in ("n = 32", "out = elsewhere", "OUTPUTS = elsewhere", "T_Max = 2.5"):
+        cfg_file.write_text(line + "\n")
+        assert load_config(cfg_file) != SweepConfig()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    for flag, _ in FIELD_VALUES.values():
+        assert f"[{flag}" in usage
 
 
 def test_run_sweep_outputs(tmp_path):
@@ -368,6 +417,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         main(["single", "--lambda", "0.5"])  # missing required flags
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_cli_rejects_non_finite_before_writing(tmp_path, capsys):
+    out = tmp_path / "nonfinite"
+    for command in ("sweep", "check"):
+        for bad in (["--t-max", "inf"], ["--lambdas", "0.5,nan"], ["--gs", "1.0,-inf"]):
+            assert main([command, *bad, "--N", "16", "--out", str(out)]) == 1
+            assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--N", "abc", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "argument --N: invalid N value: 'abc'" in capsys.readouterr().err
 
 
 def test_cli_single_stdout(tmp_path, capsys):
