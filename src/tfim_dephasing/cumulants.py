@@ -106,6 +106,8 @@ def gamma_order3(
 def _validate_order3(params, grid, t, analytic, points):
     if points < 8:
         raise ValueError(f"quadrature_points must be >= 8, got {points}")
+    if points > ORDER3_POINTS_CAP // 2:
+        raise ValueError(f"quadrature_points must be <= {ORDER3_POINTS_CAP // 2}, got {points}")
     if t == 0.0 or params.g == 0.0:
         return
     ref = gamma_order3_quadrature(params, grid, t, points)
@@ -202,9 +204,12 @@ def gamma_order3_quadrature(
     split_orderings=True integrates the six strict-ordering cells with nested
     variable-limit Gauss-Legendre rules (points per axis per cell) and the
     literal step brackets; the integrand is smooth on each cell, so this
-    converges spectrally.  split_orderings=False uses one tensor-product rule
-    over the whole cube; the kernel kinks across the ordering boundaries limit
-    that variant to O(points^-2) accuracy.
+    converges spectrally.  The three pair sums are computed once per node for
+    all six cells, and the outer axis is walked in slabs of about
+    BLOCK_ELEMENTS nodes (one points^2 row above 256 points), so memory is
+    bounded by a slab, not by points^3.  split_orderings=False uses one
+    tensor-product rule over the whole cube; the kernel kinks across the
+    ordering boundaries limit that variant to O(points^-2) accuracy.
     """
     if not params.zero_temperature:
         raise FiniteBetaError("gamma_order3_quadrature requires beta = inf")
@@ -214,28 +219,27 @@ def gamma_order3_quadrature(
 
     if split_orderings:
         u, wu = _leggauss01(points)
-        U = u[:, None, None]
-        V = u[None, :, None]
-        W = u[None, None, :]
-        ta = t * U
-        tb = ta * V
-        tc = tb * W
-        jac = t * ta * tb
-        wt = wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * jac
+        ta = t * u[:, None, None]
+        tb = ta * u[None, :, None]
+        # every cell puts the nodes (ta, tb, tc) on (T1, T2, T3) in its own
+        # order and cos is even, so one set of pair sums serves all six cells;
+        # ta - tb does not depend on the third axis
+        s_ab = _mode_cos_sum(grid, s2sq, ta - tb)
+        rows = max(1, BLOCK_ELEMENTS // points**2)
         integral = 0.0
-        for perm in permutations(range(3)):
-            coords = [None, None, None]
-            coords[perm[0]], coords[perm[1]], coords[perm[2]] = (
-                np.broadcast_arrays(ta, tb, tc)
-            )
-            T1, T2, T3 = coords
-            b13, b12, b23 = _order3_kernel_brackets(T1, T2, T3)
-            kern = -(
-                b13 * _mode_cos_sum(grid, s2sq, T1 - T3)
-                + b12 * _mode_cos_sum(grid, s2sq, T1 - T2)
-                + b23 * _mode_cos_sum(grid, s2sq, T2 - T3)
-            )
-            integral += float(np.sum(wt * kern))
+        for lo in range(0, points, rows):
+            i = slice(lo, lo + rows)
+            nodes = (ta[i], tb[i], tb[i] * u)
+            # the pair sum of nodes p and q is pairs[p + q - 1]
+            pairs = (s_ab[i], _mode_cos_sum(grid, s2sq, nodes[0] - nodes[2]),
+                     _mode_cos_sum(grid, s2sq, nodes[1] - nodes[2]))
+            wt = wu[i, None, None] * wu[None, :, None] * wu * (t * nodes[0] * nodes[1])
+            for perm in permutations(range(3)):
+                p1, p2, p3 = (perm.index(m) for m in range(3))  # the nodes on T1, T2, T3
+                b13, b12, b23 = _order3_kernel_brackets(nodes[p1], nodes[p2], nodes[p3])
+                kern = -(b13 * pairs[p1 + p3 - 1] + b12 * pairs[p1 + p2 - 1]
+                         + b23 * pairs[p2 + p3 - 1])
+                integral += float(np.sum(wt * kern))
     else:
         x01, w01 = _leggauss01(points)
         x = t * x01

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlators import c1, c2_irreducible, c3_irreducible
-from .cumulants import gamma_order3, gamma_series
+from .cumulants import ORDER3_POINTS_CAP, gamma_order3, gamma_series
 from .exact import gamma_exact
 from .model import ModelParams, make_kgrid
 
@@ -79,8 +79,10 @@ class SweepConfig:
             raise ValueError(f"t_steps must be >= 2, got {self.t_steps}")
         if self.orders not in (1, 2, 3):
             raise ValueError(f"orders must be 1, 2 or 3, got {self.orders}")
-        if self.quadrature_points < 8:
-            raise ValueError("quadrature_points must be >= 8")
+        if not 8 <= self.quadrature_points <= ORDER3_POINTS_CAP // 2:
+            raise ValueError(
+                f"quadrature_points must be in [8, {ORDER3_POINTS_CAP // 2}], "
+                f"got {self.quadrature_points}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         written = {}
@@ -104,11 +106,11 @@ def parse_config_value(name: str, raw: str):
         try:
             return _BOOL_WORDS[raw.strip().lower()]
         except KeyError:
-            raise ValueError(f"{name}: expected a boolean, got {raw!r}") from None
+            raise ValueError(f"expected a boolean, got {raw!r}") from None
     if kind == tuple[float, ...]:
         items = [s.strip() for s in raw.split(",") if s.strip()]
         if not items:
-            raise ValueError(f"{name}: empty list")
+            raise ValueError("empty list")
         return tuple(float(s) for s in items)
     return kind(raw)
 
@@ -132,7 +134,10 @@ def load_config(path, **overrides) -> SweepConfig:
             name = _FILE_KEYS.get(key.lower())
             if name is None:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[name] = parse_config_value(name, raw)
+            try:
+                values[name] = parse_config_value(name, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     unknown = overrides.keys() - _FIELDS.keys()
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
@@ -247,7 +252,8 @@ def run_sweep(config: SweepConfig) -> list[Path]:
     unique = dict(zip(names, points))
     payloads = [(config, *point) for point in unique.values()]
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # under fork the pool starts every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(payloads))) as pool:
             results = list(pool.map(_sweep_point_task, payloads))
     else:
         results = [_sweep_point_task(p) for p in payloads]

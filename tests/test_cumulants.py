@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -134,6 +135,70 @@ def test_gamma3_quadrature_matches_kernel_sum(model):
     assert got == pytest.approx(expect, rel=1e-12)
 
 
+def six_cell_reference(params, grid, t, points):
+    """The cell-split rule as first written: every cell evaluates its own three
+    pair sums over the whole cube."""
+    s2sq = grid.sin2theta_pos**2
+    u, wu = cumulants._leggauss01(points)
+    U = u[:, None, None]
+    V = u[None, :, None]
+    W = u[None, None, :]
+    ta = t * U
+    tb = ta * V
+    tc = tb * W
+    jac = t * ta * tb
+    wt = wu[:, None, None] * wu[None, :, None] * wu[None, None, :] * jac
+    integral = 0.0
+    for perm in permutations(range(3)):
+        coords = [None, None, None]
+        coords[perm[0]], coords[perm[1]], coords[perm[2]] = (
+            np.broadcast_arrays(ta, tb, tc)
+        )
+        T1, T2, T3 = coords
+        b13, b12, b23 = cumulants._order3_kernel_brackets(T1, T2, T3)
+        kern = -(
+            b13 * cumulants._mode_cos_sum(grid, s2sq, T1 - T3)
+            + b12 * cumulants._mode_cos_sum(grid, s2sq, T1 - T2)
+            + b23 * cumulants._mode_cos_sum(grid, s2sq, T2 - T3)
+        )
+        integral += float(np.sum(wt * kern))
+    return complex(0.0, -(4.0 / 3.0) * params.g**3 * integral)
+
+
+@pytest.mark.parametrize(
+    "N, lam40, t40, beyond",
+    [(4, 0.0, 5.0, (2.0, 0.5, 80)), (8, 1.0, 0.5, (0.0, 5.0, 41)), (32, 2.0, 5.0, (0.5, 5.0, 64))],
+    ids=("N4", "N8", "N32"),
+)
+def test_gamma_order3_quadrature_matches_six_cell_reference(model, N, lam40, t40, beyond):
+    # up to 40 points the cube is one slab of BLOCK_ELEMENTS = 2^16 nodes, so
+    # every node and every sum is the reference's; beyond, the slab sums add
+    # in another order
+    cases = [(lam, t, points) for lam in (0.0, 0.5, 1.0, 2.0) for t in (0.5, 5.0)
+             for points in (8, 17)]
+    for lam, t, points in cases + [(lam40, t40, 40)]:
+        params, grid = model(N, lam, g=1.3)
+        got = gamma_order3_quadrature(params, grid, t, points)
+        assert got == six_cell_reference(params, grid, t, points), (lam, t, points)
+    lam, t, points = beyond
+    params, grid = model(N, lam, g=1.3)
+    ref = six_cell_reference(params, grid, t, points)
+    got = gamma_order3_quadrature(params, grid, t, points)
+    assert got.real == 0.0
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_gamma_order3_quadrature_memory_bounded_by_block(model):
+    params, grid = model(32, 0.5, g=1.0)
+    tracemalloc.start()
+    try:
+        gamma_order3_quadrature(params, grid, 5.0, 96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_gamma3_cube_variant_second_order_convergence(model):
     params, grid = model(16, 0.5, g=1.0)
     t = 1.0
@@ -154,6 +219,17 @@ def test_gamma3_validation_hook(model):
     assert val == pytest.approx(GAMMA3_LAM05_N8_G1_T1, rel=1e-13)
     with pytest.raises(ValueError):
         gamma_order3(params, grid, 1.0, quadrature_points=4)
+
+
+def test_gamma3_validation_rejects_points_beyond_cap_first(model, monkeypatch):
+    params, grid = model(8, 0.5, g=1.0)
+    calls = []
+    monkeypatch.setattr(
+        cumulants, "gamma_order3_quadrature", lambda *a, **k: calls.append(a) or 1j
+    )
+    with pytest.raises(ValueError, match="512"):
+        gamma_order3(params, grid, 1.0, quadrature_points=513)
+    assert calls == []
 
 
 def test_gamma3_validation_detects_mismatch(model, monkeypatch):

@@ -86,6 +86,12 @@ def test_load_config_rejects_garbage(tmp_path):
     bad.write_text("no equals sign here\n")
     with pytest.raises(ValueError):
         load_config(bad)
+    bad.write_text("# sizes\nN = abc\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:2: N: invalid literal"):
+        load_config(bad)
+    bad.write_text("t_max = 1.0\nEmit_Exact = maybe\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:2: Emit_Exact: expected a boolean"):
+        load_config(bad)
     with pytest.raises(ValueError, match="frequency"):
         load_config(None, frequency=12)
 
@@ -100,6 +106,7 @@ def test_load_config_rejects_garbage(tmp_path):
         dict(t_max=0.0),
         dict(orders=4),
         dict(quadrature_points=4),
+        dict(quadrature_points=513),
         dict(jobs=0),
         dict(lambdas=(-0.5,)),
         dict(lambdas=(0.97, 0.9700001)),
@@ -230,6 +237,31 @@ def test_run_sweep_repeated_point_computed_once(tmp_path, monkeypatch):
     parallel = run_sweep(small_config(tmp_path / "p", lambdas=lambdas, jobs=2))
     for ps, pp in zip(paths, parallel, strict=True):
         assert ps.read_bytes() == pp.read_bytes()
+
+
+def test_run_sweep_pool_capped_at_unique_points(tmp_path, monkeypatch):
+    requested = []
+
+    class SerialPool:
+        """Records the worker count and maps in this process: nothing starts."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+    # four listed points, two distinct
+    paths = run_sweep(small_config(tmp_path, lambdas=(0.5, 0.5), jobs=64))
+    assert requested == [2]
+    assert len(paths) == 3
 
 
 def test_run_sweep_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -425,6 +457,10 @@ def test_cli_rejects_non_finite_before_writing(tmp_path, capsys):
         for bad in (["--t-max", "inf"], ["--lambdas", "0.5,nan"], ["--gs", "1.0,-inf"]):
             assert main([command, *bad, "--N", "16", "--out", str(out)]) == 1
             assert "finite" in capsys.readouterr().err
+        # a resolution whose refinement would pass ORDER3_POINTS_CAP
+        bad = ["--validate-order3", "--quadrature-points", "513"]
+        assert main([command, *bad, "--N", "16", "--out", str(out)]) == 1
+        assert "quadrature_points" in capsys.readouterr().err
     assert not out.exists()
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--N", "abc", "--out", str(out)])
