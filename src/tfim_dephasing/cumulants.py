@@ -245,19 +245,15 @@ def gamma_order3_quadrature(
         x = t * x01
         w = t * w01
         table = _mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
-        n = points
-        idx = np.indices((n, n, n))
-        stacked = np.stack(np.meshgrid(x, x, x, indexing="ij"))
-        m = np.argmin(stacked, axis=0)
-        # limiting kernel: the two cosine pairs that contain the minimal time
-        total = (
-            table[idx[0], idx[1]] + table[idx[0], idx[2]] + table[idx[1], idx[2]]
-        )
-        omitted = table[
-            np.take_along_axis(idx, ((m + 1) % 3)[None], axis=0)[0],
-            np.take_along_axis(idx, ((m + 2) % 3)[None], axis=0)[0],
-        ]
-        kern = -(total - omitted)
-        integral = float(np.einsum("i,j,k,ijk->", w, w, w, kern))
-
+        j, k = np.arange(points)[:, None], np.arange(points)
+        rows = max(1, BLOCK_ELEMENTS // points**2)
+        integral = 0.0
+        for lo in range(0, points, rows):
+            i = np.arange(lo, min(lo + rows, points))[:, None, None]
+            # limiting kernel: the two cosine pairs that contain the minimal
+            # time (the first one on ties, as argmin picks it)
+            omitted = np.where((x[i] <= x[j]) & (x[i] <= x[k]), table[j, k],
+                               np.where(x[j] <= x[k], table[k, i], table[i, j]))
+            kern = -((table[i, j] + table[i, k] + table[j, k]) - omitted)
+            integral += float(np.einsum("i,j,k,ijk->", w[i[:, 0, 0]], w, w, kern))
     return complex(0.0, -(4.0 / 3.0) * params.g**3 * integral)

@@ -9,26 +9,21 @@ in the even-parity pair basis, with
 
     H_k = [[-eps_k, 0], [0, eps_k]],     B_k = [[0, i s_k], [-i s_k, -4]],
 
-s_k = sin(2 theta_k).  The product of exponentials reduces to a closed form
-in the magnitudes
+s_k = sin(2 theta_k).  With a = sqrt((g s_k)^2 + (2g - eps_k)^2) and
+b = sqrt((g s_k)^2 + (2g + eps_k)^2), the product-to-sum identities put its
+closed form on the two phasors ps = e^{it(a+b)} and pd = e^{it(a-b)}:
 
-    a = sqrt((g s_k)^2 + (2g - eps_k)^2),  b = sqrt((g s_k)^2 + (2g + eps_k)^2):
+    A_k(t) = e^{4igt} [Re pd + (Cm1/2)(Re pd - Re ps) - i (alpha Im ps + beta Im pd)]
 
-    A_k(t) = e^{4igt} [ cos(t(a-b)) + Cm1 sin(ta) sin(tb)
-                        - i ((2g-eps)/a sin(ta)cos(tb) + (2g+eps)/b cos(ta)sin(tb)) ]
-
-where Cm1 = (eps^2 - 4g^2 - g^2 s^2)/(ab) - 1 is evaluated in a cancellation-
-free rearrangement so that A_k(0) = A_k(g=0) = 1 holds exactly.  A legacy
-variant of the closed form with middle coefficient (eps^2 - s^2)/(ab) and a
-purely eps-weighted imaginary part is kept behind ``corrected=False`` for
-comparison; it violates the g = 0 identity and is not used anywhere.
+with alpha, beta = ((2g-eps)/a +/- (2g+eps)/b)/2 and Cm1 = (eps^2 - 4g^2 -
+g^2 s^2)/(ab) - 1; a - b and Cm1 are cancellation-free rearrangements, so
+A_k(0) = A_k(g=0) = 1 holds exactly.  A legacy variant (``corrected=False``:
+middle coefficient (eps^2 - s^2)/(ab), eps-weighted imaginary part) violates
+the g = 0 identity and is kept for comparison only.
 
 The decoherence function is Gamma(t) = sum_{k>0} ln A_k(t) with the per-mode
-log branch tracked continuously in t from Gamma(0) = 0: the closed form is
-evaluated at the requested times only, and e^{ita}, e^{itb}, e^{it(a-b)} are
-stepped by complex multiplication across the sub-steps between them that
-choose the branch.  The deterministic phase -2it(omega0 + g sum_k cos 2theta_k)
-is reported separately.
+log branch tracked continuously in t from Gamma(0) = 0.  The deterministic
+phase -2it(omega0 + g sum_k cos 2theta_k) is reported separately.
 """
 
 import math
@@ -87,7 +82,7 @@ def mode_overlap_oracle(mode: KMode, g: float, t: float) -> complex:
 
 
 def _coefficients(eps, s2, g):
-    """Per-mode a, b, a - b, Cm1 and the sine weights (2g-eps)/a, (2g+eps)/b."""
+    """Per-mode a, b, a + b, a - b, Cm1/2 and the sine weights alpha, beta."""
     gs = g * s2
     a = np.hypot(gs, 2.0 * g - eps)
     b = np.hypot(gs, 2.0 * g + eps)
@@ -96,50 +91,64 @@ def _coefficients(eps, s2, g):
     amb = -8.0 * g * eps / (a + b)
     p = g * g * (s2 * s2 + 4.0) + eps * eps
     cm1 = -4.0 * eps * eps * g * g * s2 * s2 / (ab * ((2.0 * eps * eps - p) + ab))
-    return a, b, amb, cm1, (2.0 * g - eps) / a, (2.0 * g + eps) / b
+    wa, wb = (2.0 * g - eps) / a, (2.0 * g + eps) / b
+    return a, b, a + b, amb, 0.5 * cm1, 0.5 * (wa + wb), 0.5 * (wa - wb)
 
 
-def _assemble(coef, sin_a, cos_a, sin_b, cos_b, cos_d, trace_phase):
-    """A_k from sin, cos of ta and tb, cos t(a-b), and e^{4igt} (one per row)."""
-    _, _, _, cm1, wa, wb = coef
-    out = np.empty(sin_a.shape, dtype=complex)
-    out.real = cos_d + cm1 * sin_a * sin_b
-    out.imag = -(wa * sin_a * cos_b + wb * cos_a * sin_b)
-    out *= trace_phase[:, None]
+def _phasors(coef, ts):
+    """e^{it(a+b)} and e^{it(a-b)} from cos and sin: rows ts, columns modes."""
+    x = np.multiply.outer(ts, np.stack(coef[2:4]))  # (time, a+b or a-b, mode)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out[:, 0], out[:, 1]
+
+
+def _assemble(coef, g, ts, ps, pd):
+    """A_k from ps, pd and e^{4igt}; in place (fresh temporaries cost more)."""
+    *_, half_cm1, alpha, beta = coef
+    out = np.empty(ps.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(ps.imag, alpha, out=im)
+    im += np.multiply(pd.imag, beta, out=re)
+    np.negative(im, out=im)
+    np.multiply(np.subtract(pd.real, ps.real, out=re), half_cm1, out=re)
+    re += pd.real
+    out *= np.exp(4j * g * ts)[:, None]
     return out
 
 
 def _closed_form_entries(eps, s2, g, ts):
     """Corrected closed-form overlaps, vectorized over times (rows) and modes."""
     coef = _coefficients(eps, s2, g)
-    tx = np.multiply.outer(ts, coef[0])
-    sin_a, cos_a = np.sin(tx), np.cos(tx)
-    np.multiply.outer(ts, coef[1], out=tx)
-    sin_b, cos_b = np.sin(tx), np.cos(tx)
-    cos_d = np.cos(np.multiply.outer(ts, coef[2], out=tx))
-    return _assemble(coef, sin_a, cos_a, sin_b, cos_b, cos_d, np.exp(4j * g * ts))
+    return _assemble(coef, g, ts, *_phasors(coef, ts))
 
 
-def _closed_form_rows(eps, s2, g, starts, ends, r):
-    """Yield (times, overlaps) at the ends of the intervals (starts, ends], then
-    at each of their r - 1 sub-steps, which only choose the log branch: there
-    e^{ita}, e^{itb}, e^{it(a-b)} are stepped by complex multiplication from
-    each interval's start, so rounding never accumulates past one interval.
-    """
-    yield ends, _closed_form_entries(eps, s2, g, ends)
-    if r == 1:
-        return
-    coef = _coefficients(eps, s2, g)
-    h = (ends - starts) / r
-    x = (np.multiply.outer(ts, w) for w in coef[:3] for ts in (starts, h))
-    pa, sa, pb, sb, pd, sd = (np.cos(y) + 1j * np.sin(y) for y in x)
-    for j in range(1, r):
-        pa *= sa
-        pb *= sb
-        pd *= sd
-        ts = starts + j * h
-        yield ts, _assemble(coef, pa.imag, pa.real, pb.imag, pb.real, pd.real,
-                            np.exp(4j * g * ts))
+def _closed_form_rows(coef, g, starts, ends, r, carry):
+    """Yield (times, overlaps) at the ends of the intervals (starts, ends], then at
+    their r - 1 sub-steps (which only choose the log branch), all stepped from
+    ends[0]'s closed form with one step phasor pair per distinct width.
+    ``carry`` holds the phasors at starts[0], and then those at ends[-1]."""
+    widths = ends - starts
+    values, rows = np.unique(np.concatenate([ends[:1], widths[1:]]), return_inverse=True)
+    ps, pd = (p[rows] for p in _phasors(coef, values))
+    if ends.size > ps.shape[1]:  # taller than wide: np.cumprod beats a row loop
+        ps, pd = np.cumprod(ps, axis=0), np.cumprod(pd, axis=0)
+    else:
+        for n in range(1, ends.size):
+            ps[n] *= ps[n - 1]
+            pd[n] *= pd[n - 1]
+    yield ends, _assemble(coef, g, ends, ps, pd)
+    if r > 1:
+        h = widths / r
+        steps, inv = np.unique(h, return_inverse=True)
+        sub_s, sub_d = (p[inv] for p in _phasors(coef, steps))
+        cur_s, cur_d = (np.concatenate([c, p[:-1]]) for c, p in zip(carry, (ps, pd)))
+        for j in range(1, r):
+            cur_s *= sub_s
+            cur_d *= sub_d
+            yield starts + j * h, _assemble(coef, g, starts + j * h, cur_s, cur_d)
+    carry[:] = ps[-1:].copy(), pd[-1:].copy()
 
 
 def _oracle_rows(modes, g, starts, ends, r):
@@ -214,52 +223,53 @@ def gamma_exact(
     """Exact Gamma(t) = sum_{k>0} ln A_k(t) with continuous branch tracking.
 
     The branch of ln A_k counts the 2 pi wraps of arg A_k (the np.unwrap rule)
-    over r equal sub-steps per interval between requested times (from t = 0).
-    Modes are summed in chunks of MODE_CHUNK and time is walked in blocks of
-    about BLOCK_ELEMENTS sub-step samples, carrying each mode's wrap count,
-    so memory is bounded by a block.  ``use_oracle`` takes every overlap from
-    the matrix oracle instead of the closed form and its stepped phasors.
+    over r equal sub-steps per interval between requested times, from t = 0.
+    Modes are summed in chunks of MODE_CHUNK, time in blocks of about
+    BLOCK_ELEMENTS sub-step samples.  Only a block's first requested time
+    takes the closed form of e^{it(a+/-b)}; every later time and sub-step is
+    the previous value times e^{iw(a+/-b)}, one pair per distinct width w.
+    Phasors and wrap counts carry over between blocks, so memory is bounded
+    by a block.  ``use_oracle`` takes the overlaps from the matrix oracle.
 
     Raises BranchTrackingError if any per-mode overlap magnitude, sub-steps
-    included, falls below OVERLAP_FLOOR (the log diverges at a genuine zero
-    of the overlap).
+    included, falls below OVERLAP_FLOOR (a genuine zero of the overlap).
     """
     if not params.zero_temperature:
         raise FiniteBetaError("gamma_exact requires beta = inf")
     ts = checked_times(times)
 
-    eps = grid.eps_pos
-    s2 = grid.sin2theta_pos
     g = params.g
-    a, b, *_ = _coefficients(eps, s2, g)
-    r = _refinement(ts, float(np.max(a + b)) + 4.0 * abs(g))
+    coef = _coefficients(grid.eps_pos, grid.sin2theta_pos, g)
+    r = _refinement(ts, float(np.max(coef[2])) + 4.0 * abs(g))
     starts = np.concatenate([[0.0], ts[:-1]])
 
     modes = grid.positive_modes if use_oracle else None
     gamma = np.zeros(ts.size, dtype=complex)
-    for lo in range(0, eps.size, MODE_CHUNK):
+    for lo in range(0, coef[0].size, MODE_CHUNK):
         k = slice(lo, lo + MODE_CHUNK)
         k_pos = grid.k_pos[k]
+        chunk = [c[k] for c in coef]
         rows = max(1, BLOCK_ELEMENTS // (r * k_pos.size))
-        end_arg = end_wraps = np.zeros(k_pos.size)  # at t = 0, where A_k = 1
+        end_arg, end_turns = np.zeros(k_pos.size), 0.0  # at t = 0, where A_k = 1
+        carry = [np.ones((1, k_pos.size), dtype=complex)] * 2
         for i in range(0, ts.size, rows):
             blk = slice(i, i + rows)
             fine = (_oracle_rows(modes[k], g, starts[blk], ts[blk], r) if use_oracle
-                    else _closed_form_rows(eps[k], s2[k], g, starts[blk], ts[blk], r))
+                    else _closed_form_rows(chunk, g, starts[blk], ts[blk], r, carry))
             mags, arg = _checked_angles(*next(fine), k_pos)
             prev = np.vstack([end_arg, arg[:-1]])
             wraps = np.zeros_like(arg)
             for nxt in chain((_checked_angles(*row, k_pos)[1] for row in fine), [arg]):
-                step = nxt - prev
-                wraps += step < -np.pi
-                wraps -= step > np.pi
+                prev -= nxt  # minus the step of arg A_k
+                wraps += prev > np.pi
+                wraps -= prev < -np.pi
                 prev = nxt
-            wraps = end_wraps + np.cumsum(wraps, axis=0)
-            gamma[blk] += (np.log(mags) + 1j * (arg + 2.0 * np.pi * wraps)).sum(axis=1)
-            end_arg, end_wraps = arg[-1], wraps[-1]
+            turns = end_turns + np.cumsum(wraps.sum(axis=1))  # wraps summed over modes
+            gamma[blk] += (np.log(mags, out=mags).sum(axis=1)
+                           + 1j * (arg.sum(axis=1) + 2.0 * np.pi * turns))
+            end_arg, end_turns = arg[-1], turns[-1]
 
-    c1val = c1(params, grid).value.real
-    phase = -2j * ts * (params.omega0 + g * c1val)
+    phase = -2j * ts * (params.omega0 + g * c1(params, grid).value.real)
     return DecoherenceCurve(ts, gamma, phase, params)
 
 

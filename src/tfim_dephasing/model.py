@@ -142,16 +142,17 @@ class KGrid:
     def sin2theta_pos(self) -> np.ndarray:
         return self.sin2theta[self.N // 2:]
 
+    def _modes_from(self, lo: int) -> tuple[KMode, ...]:
+        cols = (self.k, self.eps, self.cos2theta, self.sin2theta)
+        return tuple(KMode(*map(float, row)) for row in zip(*(c[lo:] for c in cols)))
+
     @property
     def modes(self) -> tuple[KMode, ...]:
-        return tuple(
-            KMode(float(k), float(e), float(c), float(s))
-            for k, e, c, s in zip(self.k, self.eps, self.cos2theta, self.sin2theta)
-        )
+        return self._modes_from(0)
 
     @property
     def positive_modes(self) -> tuple[KMode, ...]:
-        return self.modes[self.N // 2:]
+        return self._modes_from(self.N // 2)
 
 
 def make_kgrid(params: ModelParams) -> KGrid:

@@ -199,6 +199,54 @@ def test_gamma_order3_quadrature_memory_bounded_by_block(model):
     assert peak < 16e6
 
 
+def whole_cube_reference(params, grid, t, points):
+    """The one-grid rule as first written: index arrays, the node meshgrid and
+    the argmin over the whole points^3 cube."""
+    s2sq = grid.sin2theta_pos**2
+    x01, w01 = cumulants._leggauss01(points)
+    x = t * x01
+    w = t * w01
+    table = cumulants._mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
+    n = points
+    idx = np.indices((n, n, n))
+    stacked = np.stack(np.meshgrid(x, x, x, indexing="ij"))
+    m = np.argmin(stacked, axis=0)
+    total = table[idx[0], idx[1]] + table[idx[0], idx[2]] + table[idx[1], idx[2]]
+    omitted = table[
+        np.take_along_axis(idx, ((m + 1) % 3)[None], axis=0)[0],
+        np.take_along_axis(idx, ((m + 2) % 3)[None], axis=0)[0],
+    ]
+    integral = float(np.einsum("i,j,k,ijk->", w, w, w, -(total - omitted)))
+    return complex(0.0, -(4.0 / 3.0) * params.g**3 * integral)
+
+
+@pytest.mark.parametrize("N", [4, 16])
+def test_gamma_order3_cube_variant_matches_whole_cube_reference(model, N):
+    # up to 40 points the cube is one slab, so every node and sum is the
+    # reference's; beyond, the slab sums add in another order
+    for lam in (0.0, 0.5, 2.0):
+        for t in (0.5, 5.0, -1.5):
+            params, grid = model(N, lam, g=1.3)
+            for points in (8, 17, 40, 57):
+                got = gamma_order3_quadrature(params, grid, t, points, split_orderings=False)
+                ref = whole_cube_reference(params, grid, t, points)
+                if points <= 40:
+                    assert got == ref, (lam, t, points)
+                assert got.real == 0.0
+                assert abs(got - ref) <= 1e-14 * abs(ref), (lam, t, points)
+
+
+def test_gamma_order3_cube_variant_memory_bounded_by_block(model):
+    params, grid = model(16, 0.5, g=1.0)
+    tracemalloc.start()
+    try:
+        gamma_order3_quadrature(params, grid, 1.0, 96, split_orderings=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_gamma3_cube_variant_second_order_convergence(model):
     params, grid = model(16, 0.5, g=1.0)
     t = 1.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tfim_dephasing.exact as exact_mod
+from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK
 from tfim_dephasing import (
     BranchTrackingError,
     FiniteBetaError,
@@ -174,14 +175,106 @@ def test_substep_overlaps_match_closed_form(model):
     """The stepped phasors reproduce the closed form on uneven intervals."""
     _, grid = model(64, 0.9)
     eps, s2 = grid.eps_pos, grid.sin2theta_pos
+    coef = exact_mod._coefficients(eps, s2, 2.5)
     starts, ends = np.array([0.0, 1.3, 4.0]), np.array([1.3, 4.0, 4.5])
-    row_sets = exact_mod._closed_form_rows(eps, s2, 2.5, starts, ends, 9)
+    carry = [np.ones((1, eps.size), dtype=complex)] * 2  # the phasors at t = 0
+    row_sets = exact_mod._closed_form_rows(coef, 2.5, starts, ends, 9, carry)
     seen = []
     for ts, entries in row_sets:  # the sub-steps share one buffer: compare in turn
         seen.append(ts)
         direct = exact_mod._closed_form_entries(eps, s2, 2.5, ts)
         assert np.max(np.abs(entries - direct)) < 1e-13
     assert len(seen) == 9 and np.array_equal(seen[0], ends)
+    for got, direct in zip(carry, exact_mod._phasors(coef, ends[-1:])):
+        assert np.max(np.abs(got - direct)) < 1e-13
+
+
+def _normwise_gap(gamma, entries):
+    """Largest gaps of Re Gamma from sum ln|A_k| and of Im Gamma from sum arg A_k
+    (mod 2 pi), each over the largest |Gamma|."""
+    scale = np.max(np.abs(gamma))
+    re_gap = np.max(np.abs(gamma.real - np.log(np.abs(entries)).sum(axis=1)))
+    im_gap = np.angle(np.exp(1j * (gamma.imag - np.angle(entries).sum(axis=1))))
+    return float(re_gap / scale), float(np.max(np.abs(im_gap)) / scale)
+
+
+def _uneven_times(rng, size, t_max):
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t_max, size - 2)), [t_max]])
+    assert np.unique(np.diff(ts)).size == size - 1  # every width distinct
+    return ts
+
+
+@pytest.mark.parametrize("g", [0.3, 2.5])
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("grid_kind", ["uneven", "linspace"])
+def test_gamma_exact_stepped_rows_match_closed_form(model, grid_kind, lam, g):
+    """Rows stepped from one anchor per block keep the closed form's value."""
+    params, grid = model(64, lam, g=g)
+    ts = (_uneven_times(np.random.default_rng(40), 40, 6.0) if grid_kind == "uneven"
+          else np.linspace(0.0, 6.0, 40))
+    entries = np.array([[mode_overlap_closed_form(m, g, float(t)) for m in grid.positive_modes]
+                        for t in ts])
+    re_gap, im_gap = _normwise_gap(gamma_exact(params, grid, ts).gamma, entries)
+    assert re_gap < 1e-11 and im_gap < 1e-11
+
+
+def test_gamma_exact_thousands_of_stepped_rows(model):
+    """At N = 8 one block holds all 5000 rows: one anchor, the rest stepped."""
+    params, grid = model(8, 0.9, g=1.0)
+    ts = _uneven_times(np.random.default_rng(5000), 5000, 50.0)
+    entries = np.array([[mode_overlap_closed_form(m, 1.0, float(t)) for m in grid.positive_modes]
+                        for t in ts])
+    re_gap, im_gap = _normwise_gap(gamma_exact(params, grid, ts).gamma, entries)
+    assert re_gap < 1e-11 and im_gap < 1e-11
+
+
+def test_gamma_exact_evaluates_closed_form_once_per_block_and_width(model, monkeypatch):
+    """Only a block's first row and one step per distinct width take trig calls."""
+    params, grid = model(20000, 0.5, g=1.0)
+    ts = np.linspace(0.0, 5.0, 64)  # r = 1: no sub-steps on this grid
+    rows = {}
+    phasors = exact_mod._phasors
+
+    def counting(coef, times):
+        chunk = float(coef[2][0])  # a + b of the chunk's first mode
+        rows[chunk] = rows.get(chunk, 0) + times.size
+        return phasors(coef, times)
+
+    monkeypatch.setattr(exact_mod, "_phasors", counting)
+    gamma_exact(params, grid, ts)
+    widths = np.diff(ts, prepend=0.0)
+    bounds = []
+    for lo in range(0, grid.N // 2, MODE_CHUNK):
+        block = BLOCK_ELEMENTS // min(MODE_CHUNK, grid.N // 2 - lo)
+        bounds.append(sum(1 + np.unique(widths[i + 1:i + block]).size
+                          for i in range(0, ts.size, block)))
+    assert len(rows) == len(bounds) == 3
+    assert all(n <= bound <= 24 for n, bound in zip(rows.values(), bounds))
+
+
+def _longdouble_su2(m00, m01, m11, tau):
+    """Entries 00, 01 and 10 of exp(-i tau M), M = [[m00, m01], [conj m01, m11]]
+    Hermitian, from M = c + v.sigma: e^{-i tau c}(cos r tau - i sin(r tau)/r (M - c))."""
+    c, d = 0.5 * (m00 + m11), 0.5 * (m00 - m11)
+    r = np.sqrt(d * d + np.abs(m01) ** 2)
+    phase, cos_rt, sinc = np.exp(-1j * tau * c), np.cos(r * tau), np.sin(r * tau) / r
+    return (phase * (cos_rt - 1j * sinc * d), phase * (-1j * sinc * m01),
+            phase * (-1j * sinc * np.conj(m01)))
+
+
+def test_gamma_exact_weak_coupling_against_extended_precision(model):
+    """Against the pair generators exponentiated in long double, at a weak
+    coupling where sin(ta)cos(tb) and cos(ta)sin(tb) cancel to t(a - b)."""
+    params, grid = model(2000, 2.0, g=0.01)
+    ts = np.array([5.0])
+    eps = grid.eps_pos.astype(np.longdouble)
+    g, tau = np.longdouble(0.01), ts.astype(np.longdouble)[:, None]
+    coupling = 1j * g * grid.sin2theta_pos.astype(np.longdouble)
+    p00, p01, _ = _longdouble_su2(-eps, coupling, eps - 4 * g, tau)  # e^{-it(H + gB)}
+    m00, _, m10 = _longdouble_su2(-eps, -coupling, eps + 4 * g, -tau)  # e^{+it(H - gB)}
+    re_gap, im_gap = _normwise_gap(gamma_exact(params, grid, ts).gamma, p00 * m00 + p01 * m10)
+    assert re_gap < 5e-10
+    assert im_gap < 5e-11
 
 
 def test_gamma_exact_memory_bounded_by_block(model):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,11 @@ def test_positive_modes(model):
     ks = [m.k for m in pos]
     assert ks == sorted(ks) and all(k > 0 for k in ks)
     assert len(grid.modes) == 10
+
+    def bits(modes):
+        return [tuple(float.hex(v) for v in dataclasses.astuple(m)) for m in modes]
+
+    assert bits(pos) == bits(grid.modes[5:])
 
 
 def test_dispersion_lower_bound(model):
