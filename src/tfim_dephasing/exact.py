@@ -37,6 +37,7 @@ from .errors import BranchTrackingError, FiniteBetaError
 from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, KMode, ModelParams, checked_times
 
 OVERLAP_FLOOR = 1e-12
+ANCHOR_ROWS = 16  # requested times stepped from one closed-form evaluation, at most
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,11 @@ def _phasors(coef, ts):
 
 
 def _assemble(coef, g, ts, ps, pd):
-    """A_k from ps, pd and e^{4igt}; in place (fresh temporaries cost more)."""
+    """A_k from ps, pd and e^{4igt} (one per row)."""
     *_, half_cm1, alpha, beta = coef
     out = np.empty(ps.shape, dtype=complex)
-    re, im = out.real, out.imag
-    np.multiply(ps.imag, alpha, out=im)
-    im += np.multiply(pd.imag, beta, out=re)
-    np.negative(im, out=im)
-    np.multiply(np.subtract(pd.real, ps.real, out=re), half_cm1, out=re)
-    re += pd.real
+    out.real = pd.real + half_cm1 * (pd.real - ps.real)
+    out.imag = -(alpha * ps.imag + beta * pd.imag)
     out *= np.exp(4j * g * ts)[:, None]
     return out
 
@@ -124,31 +121,33 @@ def _closed_form_entries(eps, s2, g, ts):
     return _assemble(coef, g, ts, *_phasors(coef, ts))
 
 
-def _closed_form_rows(coef, g, starts, ends, r, carry):
-    """Yield (times, overlaps) at the ends of the intervals (starts, ends], then at
-    their r - 1 sub-steps (which only choose the log branch), all stepped from
-    ends[0]'s closed form with one step phasor pair per distinct width.
-    ``carry`` holds the phasors at starts[0], and then those at ends[-1]."""
-    widths = ends - starts
-    values, rows = np.unique(np.concatenate([ends[:1], widths[1:]]), return_inverse=True)
+def _closed_form_rows(coef, g, starts, ends, r):
+    """Yield (times, overlaps) at the ends of the intervals (starts, ends], then
+    at each of their r - 1 sub-steps, which only choose the log branch.  Every
+    ANCHOR_ROWS-th end takes the closed form of e^{it(a+/-b)}; each end between
+    is the previous one times e^{iw(a+/-b)}, one pair per distinct width w, and
+    the sub-steps are stepped the same way from each interval's start (the
+    closed form at starts[0], the previous end after it).
+    """
+    anchors = np.arange(ends.size) % ANCHOR_ROWS == 0
+    values, rows = np.unique(np.where(anchors, ends, ends - starts), return_inverse=True)
     ps, pd = (p[rows] for p in _phasors(coef, values))
-    if ends.size > ps.shape[1]:  # taller than wide: np.cumprod beats a row loop
-        ps, pd = np.cumprod(ps, axis=0), np.cumprod(pd, axis=0)
-    else:
-        for n in range(1, ends.size):
-            ps[n] *= ps[n - 1]
-            pd[n] *= pd[n - 1]
+    for j in range(1, ANCHOR_ROWS):  # row j of every anchor's run at once
+        ps[j::ANCHOR_ROWS] *= ps[j - 1:-1:ANCHOR_ROWS]
+        pd[j::ANCHOR_ROWS] *= pd[j - 1:-1:ANCHOR_ROWS]
     yield ends, _assemble(coef, g, ends, ps, pd)
-    if r > 1:
-        h = widths / r
-        steps, inv = np.unique(h, return_inverse=True)
-        sub_s, sub_d = (p[inv] for p in _phasors(coef, steps))
-        cur_s, cur_d = (np.concatenate([c, p[:-1]]) for c, p in zip(carry, (ps, pd)))
-        for j in range(1, r):
-            cur_s *= sub_s
-            cur_d *= sub_d
-            yield starts + j * h, _assemble(coef, g, starts + j * h, cur_s, cur_d)
-    carry[:] = ps[-1:].copy(), pd[-1:].copy()
+    if r == 1:
+        return
+    h = (ends - starts) / r
+    steps, rows = np.unique(h, return_inverse=True)
+    step_s, step_d = (p[rows] for p in _phasors(coef, steps))
+    cur_s, cur_d = (np.vstack([p0, p[:-1]])
+                    for p0, p in zip(_phasors(coef, starts[:1]), (ps, pd)))
+    for j in range(1, r):
+        cur_s *= step_s
+        cur_d *= step_d
+        ts = starts + j * h
+        yield ts, _assemble(coef, g, ts, cur_s, cur_d)
 
 
 def _oracle_rows(modes, g, starts, ends, r):
@@ -225,10 +224,11 @@ def gamma_exact(
     The branch of ln A_k counts the 2 pi wraps of arg A_k (the np.unwrap rule)
     over r equal sub-steps per interval between requested times, from t = 0.
     Modes are summed in chunks of MODE_CHUNK, time in blocks of about
-    BLOCK_ELEMENTS sub-step samples.  Only a block's first requested time
-    takes the closed form of e^{it(a+/-b)}; every later time and sub-step is
-    the previous value times e^{iw(a+/-b)}, one pair per distinct width w.
-    Phasors and wrap counts carry over between blocks, so memory is bounded
+    BLOCK_ELEMENTS sub-step samples.  Every ANCHOR_ROWS-th requested time of
+    a block takes the closed form of e^{it(a+/-b)}; the times between and the
+    sub-steps are the previous value times e^{iw(a+/-b)}, one pair per distinct
+    width w, so each value is at most ANCHOR_ROWS + r - 2 multiplies from a
+    closed form.  Wrap counts carry over between blocks, so memory is bounded
     by a block.  ``use_oracle`` takes the overlaps from the matrix oracle.
 
     Raises BranchTrackingError if any per-mode overlap magnitude, sub-steps
@@ -251,22 +251,20 @@ def gamma_exact(
         chunk = [c[k] for c in coef]
         rows = max(1, BLOCK_ELEMENTS // (r * k_pos.size))
         end_arg, end_turns = np.zeros(k_pos.size), 0.0  # at t = 0, where A_k = 1
-        carry = [np.ones((1, k_pos.size), dtype=complex)] * 2
         for i in range(0, ts.size, rows):
             blk = slice(i, i + rows)
             fine = (_oracle_rows(modes[k], g, starts[blk], ts[blk], r) if use_oracle
-                    else _closed_form_rows(chunk, g, starts[blk], ts[blk], r, carry))
+                    else _closed_form_rows(chunk, g, starts[blk], ts[blk], r))
             mags, arg = _checked_angles(*next(fine), k_pos)
             prev = np.vstack([end_arg, arg[:-1]])
             wraps = np.zeros_like(arg)
             for nxt in chain((_checked_angles(*row, k_pos)[1] for row in fine), [arg]):
-                prev -= nxt  # minus the step of arg A_k
-                wraps += prev > np.pi
-                wraps -= prev < -np.pi
+                step = nxt - prev
+                wraps += step < -np.pi
+                wraps -= step > np.pi
                 prev = nxt
             turns = end_turns + np.cumsum(wraps.sum(axis=1))  # wraps summed over modes
-            gamma[blk] += (np.log(mags, out=mags).sum(axis=1)
-                           + 1j * (arg.sum(axis=1) + 2.0 * np.pi * turns))
+            gamma[blk] += np.log(mags).sum(axis=1) + 1j * (arg.sum(axis=1) + 2.0 * np.pi * turns)
             end_arg, end_turns = arg[-1], turns[-1]
 
     phase = -2j * ts * (params.omega0 + g * c1(params, grid).value.real)
