@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FiniteBetaError
 from .model import KGrid, ModelParams
 
 
@@ -60,11 +59,6 @@ def c2_full(params: ModelParams, grid: KGrid, t1: float, t2: float) -> Correlato
     return CorrelatorValue(value, 2, (t1, t2))
 
 
-def _require_zero_temperature(params: ModelParams, what: str):
-    if not params.zero_temperature:
-        raise FiniteBetaError(f"{what} is only available at beta = inf, got beta={params.beta}")
-
-
 def c3_irreducible(
     params: ModelParams, grid: KGrid, t1: float, t2: float, t3: float
 ) -> CorrelatorValue:
@@ -80,7 +74,7 @@ def c3_irreducible(
     of the six strict orderings, so the value is computed from the two pairs
     containing the (first) minimal argument.
     """
-    _require_zero_temperature(params, "c3_irreducible")
+    params.require_zero_temperature("c3_irreducible")
     ts = (t1, t2, t3)
     m = ts.index(min(ts))
     a, b = (i for i in range(3) if i != m)
@@ -101,7 +95,7 @@ def c3_part(
     S(d) = sum_k sin^2(2theta_k) exp(-2i eps_k d).  Complex valued and
     independent of the coupling g.
     """
-    _require_zero_temperature(params, "c3_part")
+    params.require_zero_temperature("c3_part")
     s2sq = grid.sin2theta**2
 
     def S(d):

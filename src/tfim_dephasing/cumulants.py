@@ -24,8 +24,8 @@ from itertools import permutations
 import numpy as np
 
 from .correlators import c1, occupation
-from .errors import FiniteBetaError, QuadratureConvergenceError
-from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, ModelParams, checked_times
+from .errors import QuadratureConvergenceError
+from .model import KGrid, ModelParams, blocks, checked_times, mode_chunks
 
 ORDER3_POINTS_CAP = 1024
 
@@ -49,12 +49,12 @@ def gamma_order1(params: ModelParams, grid: KGrid, t: float) -> complex:
 def _series_orders(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
     """Gamma2 and Im Gamma3 at the times ts; an order above max_order reads 0.
 
-    Sums the k > 0 half grid, doubled, in chunks of MODE_CHUNK modes by blocks
-    of about BLOCK_ELEMENTS.  The chunks depend on the mode count only and are
-    added in order, so each time's value does not depend on the other times.
+    Sums the k > 0 half grid, doubled, over ``mode_chunks`` by ``blocks`` of
+    times.  The chunks depend on the mode count only and are added in order,
+    so each time's value does not depend on the other times.
     """
-    if max_order >= 3 and not params.zero_temperature:
-        raise FiniteBetaError("order 3 requires beta = inf")
+    if max_order >= 3:
+        params.require_zero_temperature("order 3")
     s2 = np.zeros_like(ts)
     s3 = np.zeros_like(ts)
     if max_order >= 2:
@@ -62,11 +62,8 @@ def _series_orders(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: 
         two_eps = 2.0 * eps
         w2 = (occupation(params.beta, eps) + 1.0) ** 2 / eps**2
         w3 = grid.sin2theta_pos**2 / eps**3
-        for lo in range(0, eps.size, MODE_CHUNK):
-            k = slice(lo, lo + MODE_CHUNK)
-            rows = max(1, BLOCK_ELEMENTS // two_eps[k].size)
-            for r in range(0, ts.size, rows):
-                i = slice(r, r + rows)
+        for k in mode_chunks(eps.size):
+            for i in blocks(ts.size, two_eps[k].size):
                 x = np.multiply.outer(ts[i], two_eps[k])
                 cos_x = np.cos(x)
                 s2[i] += ((1.0 - cos_x) * w2[k]).sum(axis=1)
@@ -103,11 +100,16 @@ def gamma_order3(
     return value
 
 
+def check_quadrature_points(points: int):
+    """Raise ValueError unless one refinement of ``points`` stays within
+    ORDER3_POINTS_CAP and the coarsest rule has at least 8 points."""
+    if not 8 <= points <= ORDER3_POINTS_CAP // 2:
+        raise ValueError(
+            f"quadrature_points must be in [8, {ORDER3_POINTS_CAP // 2}], got {points}")
+
+
 def _validate_order3(params, grid, t, analytic, points):
-    if points < 8:
-        raise ValueError(f"quadrature_points must be >= 8, got {points}")
-    if points > ORDER3_POINTS_CAP // 2:
-        raise ValueError(f"quadrature_points must be <= {ORDER3_POINTS_CAP // 2}, got {points}")
+    check_quadrature_points(points)
     if t == 0.0 or params.g == 0.0:
         return
     ref = gamma_order3_quadrature(params, grid, t, points)
@@ -161,10 +163,8 @@ def _mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs: np.ndarray) -> np.nda
     eps = grid.eps_pos
     flat = diffs.reshape(-1)
     out = np.empty_like(flat)
-    rows = max(1, BLOCK_ELEMENTS // eps.size)
-    for i in range(0, flat.size, rows):
-        d = flat[i:i + rows]
-        out[i:i + rows] = np.cos(2.0 * np.multiply.outer(d, eps)) @ weights
+    for i in blocks(flat.size, eps.size):
+        out[i] = np.cos(2.0 * np.multiply.outer(flat[i], eps)) @ weights
     return 2.0 * out.reshape(diffs.shape)
 
 
@@ -205,14 +205,12 @@ def gamma_order3_quadrature(
     variable-limit Gauss-Legendre rules (points per axis per cell) and the
     literal step brackets; the integrand is smooth on each cell, so this
     converges spectrally.  The three pair sums are computed once per node for
-    all six cells, and the outer axis is walked in slabs of about
-    BLOCK_ELEMENTS nodes (one points^2 row above 256 points), so memory is
-    bounded by a slab, not by points^3.  split_orderings=False uses one
+    all six cells, and the outer axis is walked in ``blocks`` of points^2-node
+    rows, so memory is bounded by a slab, not by points^3.  split_orderings=False uses one
     tensor-product rule over the whole cube; the kernel kinks across the
     ordering boundaries limit that variant to O(points^-2) accuracy.
     """
-    if not params.zero_temperature:
-        raise FiniteBetaError("gamma_order3_quadrature requires beta = inf")
+    params.require_zero_temperature("gamma_order3_quadrature")
     if points < 2:
         raise ValueError("points must be >= 2")
     s2sq = grid.sin2theta_pos**2
@@ -225,10 +223,8 @@ def gamma_order3_quadrature(
         # order and cos is even, so one set of pair sums serves all six cells;
         # ta - tb does not depend on the third axis
         s_ab = _mode_cos_sum(grid, s2sq, ta - tb)
-        rows = max(1, BLOCK_ELEMENTS // points**2)
         integral = 0.0
-        for lo in range(0, points, rows):
-            i = slice(lo, lo + rows)
+        for i in blocks(points, points**2):
             nodes = (ta[i], tb[i], tb[i] * u)
             # the pair sum of nodes p and q is pairs[p + q - 1]
             pairs = (s_ab[i], _mode_cos_sum(grid, s2sq, nodes[0] - nodes[2]),
@@ -246,10 +242,9 @@ def gamma_order3_quadrature(
         w = t * w01
         table = _mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
         j, k = np.arange(points)[:, None], np.arange(points)
-        rows = max(1, BLOCK_ELEMENTS // points**2)
         integral = 0.0
-        for lo in range(0, points, rows):
-            i = np.arange(lo, min(lo + rows, points))[:, None, None]
+        for slab in blocks(points, points**2):
+            i = np.arange(points)[slab, None, None]
             # limiting kernel: the two cosine pairs that contain the minimal
             # time (the first one on ties, as argmin picks it)
             omitted = np.where((x[i] <= x[j]) & (x[i] <= x[k]), table[j, k],

@@ -33,8 +33,8 @@ from itertools import chain
 import numpy as np
 
 from .correlators import c1
-from .errors import BranchTrackingError, FiniteBetaError
-from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, KMode, ModelParams, checked_times
+from .errors import BranchTrackingError
+from .model import KGrid, KMode, ModelParams, blocks, checked_times, mode_chunks
 
 OVERLAP_FLOOR = 1e-12
 ANCHOR_ROWS = 16  # requested times stepped from one closed-form evaluation, at most
@@ -223,8 +223,8 @@ def gamma_exact(
 
     The branch of ln A_k counts the 2 pi wraps of arg A_k (the np.unwrap rule)
     over r equal sub-steps per interval between requested times, from t = 0.
-    Modes are summed in chunks of MODE_CHUNK, time in blocks of about
-    BLOCK_ELEMENTS sub-step samples.  Every ANCHOR_ROWS-th requested time of
+    Modes are summed over ``mode_chunks``, time in ``blocks`` of rows of r
+    sub-step samples per mode.  Every ANCHOR_ROWS-th requested time of
     a block takes the closed form of e^{it(a+/-b)}; the times between and the
     sub-steps are the previous value times e^{iw(a+/-b)}, one pair per distinct
     width w, so each value is at most ANCHOR_ROWS + r - 2 multiplies from a
@@ -234,8 +234,7 @@ def gamma_exact(
     Raises BranchTrackingError if any per-mode overlap magnitude, sub-steps
     included, falls below OVERLAP_FLOOR (a genuine zero of the overlap).
     """
-    if not params.zero_temperature:
-        raise FiniteBetaError("gamma_exact requires beta = inf")
+    params.require_zero_temperature("gamma_exact")
     ts = checked_times(times)
 
     g = params.g
@@ -245,14 +244,11 @@ def gamma_exact(
 
     modes = grid.positive_modes if use_oracle else None
     gamma = np.zeros(ts.size, dtype=complex)
-    for lo in range(0, coef[0].size, MODE_CHUNK):
-        k = slice(lo, lo + MODE_CHUNK)
+    for k in mode_chunks(coef[0].size):
         k_pos = grid.k_pos[k]
         chunk = [c[k] for c in coef]
-        rows = max(1, BLOCK_ELEMENTS // (r * k_pos.size))
         end_arg, end_turns = np.zeros(k_pos.size), 0.0  # at t = 0, where A_k = 1
-        for i in range(0, ts.size, rows):
-            blk = slice(i, i + rows)
+        for blk in blocks(ts.size, r * k_pos.size):
             fine = (_oracle_rows(modes[k], g, starts[blk], ts[blk], r) if use_oracle
                     else _closed_form_rows(chunk, g, starts[blk], ts[blk], r))
             mags, arg = _checked_angles(*next(fine), k_pos)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModeError
+from .errors import DegenerateModeError, FiniteBetaError
 
 RADICAND_FLOOR = 1e-300
 # Modes per chunk of the k > 0 half-grid sums; chunk bounds depend on N only.
@@ -59,17 +59,34 @@ class ModelParams:
             raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 2, got {self.N}")
+        for name in ("lam", "g", "omega0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.lam >= 0):
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not (self.beta > 0):
             raise ValueError(f"beta must be positive (or inf), got {self.beta}")
-        for name in ("lam", "g", "omega0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
     @property
     def zero_temperature(self) -> bool:
         return math.isinf(self.beta)
+
+    def require_zero_temperature(self, what: str):
+        """Raise FiniteBetaError unless beta = inf; ``what`` names the operation."""
+        if not self.zero_temperature:
+            raise FiniteBetaError(f"{what} is only available at beta = inf, got beta={self.beta}")
+
+
+def mode_chunks(n: int):
+    """Slices of MODE_CHUNK modes covering range(n); they depend on n only."""
+    return (slice(lo, lo + MODE_CHUNK) for lo in range(0, n, MODE_CHUNK))
+
+
+def blocks(n: int, width: int):
+    """Slices of max(1, BLOCK_ELEMENTS // width) rows covering range(n), so a
+    block of rows of ``width`` elements holds about BLOCK_ELEMENTS."""
+    rows = max(1, BLOCK_ELEMENTS // width)
+    return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
 
 def _mode_data(k, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

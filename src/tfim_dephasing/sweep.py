@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlators import c1, c2_irreducible, c3_irreducible
-from .cumulants import ORDER3_POINTS_CAP, gamma_order3, gamma_series
+from .cumulants import check_quadrature_points, gamma_order3, gamma_series
 from .exact import gamma_exact
 from .model import ModelParams, make_kgrid
 
@@ -67,26 +67,18 @@ class SweepConfig:
     def validate(self):
         if not self.lambdas or not self.gs:
             raise ValueError("lambdas and gs must be non-empty")
-        if not all(math.isfinite(v) for v in (*self.lambdas, *self.gs, self.t_max)):
-            raise ValueError("lambdas, gs and t_max must be finite")
-        if any(lam < 0 for lam in self.lambdas):
-            raise ValueError("lambdas must be >= 0")
-        if self.N < 2 or self.N % 2 != 0:
-            raise ValueError(f"N must be even and >= 2, got {self.N}")
-        if not (self.t_max > 0):
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.t_steps < 2:
             raise ValueError(f"t_steps must be >= 2, got {self.t_steps}")
         if self.orders not in (1, 2, 3):
             raise ValueError(f"orders must be 1, 2 or 3, got {self.orders}")
-        if not 8 <= self.quadrature_points <= ORDER3_POINTS_CAP // 2:
-            raise ValueError(
-                f"quadrature_points must be in [8, {ORDER3_POINTS_CAP // 2}], "
-                f"got {self.quadrature_points}")
+        check_quadrature_points(self.quadrature_points)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         written = {}
         for point in ((lam, g) for lam in self.lambdas for g in self.gs):
+            ModelParams(self.N, *point)  # N, lambda and g checks
             name = curve_filename(*point)
             if written.setdefault(name, point) != point:
                 raise ValueError(f"(lambda, g) = {written[name]} and {point} both write {name}")
@@ -147,23 +139,26 @@ def load_config(path, **overrides) -> SweepConfig:
     return config
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv(header: str, rows) -> str:
+    """CSV text: ``header``, then one LF-terminated line per row with each value
+    at 17 significant digits (round-trip safe) and ``None`` as an empty field."""
+    lines = [header] + [",".join("" if v is None else f"{v:.17g}" for v in row) for row in rows]
+    return "".join(f"{line}\n" for line in lines)
 
 
 def curve_filename(lam: float, g: float) -> str:
     return f"curve_lambda{lam:g}_g{g:g}.csv"
 
 
-def curve_csv(config: SweepConfig, lam: float, g: float) -> tuple[str, str]:
-    """One point's curve file content and its summary row."""
+def curve_csv(config: SweepConfig, lam: float, g: float) -> tuple[str, tuple]:
+    """One point's curve file content and its summary row of values."""
     params = ModelParams(N=config.N, lam=lam, g=g)
     grid = make_kgrid(params)
     ts = np.linspace(0.0, config.t_max, config.t_steps)
     terms = gamma_series(params, grid, ts, max_order=config.orders)
     exact = gamma_exact(params, grid, ts).gamma if config.emit_exact else None
 
-    lines = [CURVE_HEADER]
+    rows = []
     t_star = None
     max_diff = None
     for i, tm in enumerate(terms):
@@ -174,7 +169,7 @@ def curve_csv(config: SweepConfig, lam: float, g: float) -> tuple[str, str]:
         if exact is not None:
             diff = abs(ex - tm.truncated_sum)
             max_diff = diff if max_diff is None else max(max_diff, diff)
-        lines.append(",".join(_fmt(v) for v in (
+        rows.append((
             tm.t,
             tm.gamma1.real, tm.gamma1.imag,
             tm.gamma2.real, tm.gamma2.imag,
@@ -182,15 +177,9 @@ def curve_csv(config: SweepConfig, lam: float, g: float) -> tuple[str, str]:
             tm.truncated_sum.real, tm.truncated_sum.imag,
             ex.real, ex.imag,
             abs_g2, abs_g3,
-        )))
-    summary = ",".join((
-        _fmt(lam),
-        _fmt(g),
-        _fmt(t_star) if t_star is not None else "",
-        _fmt(max_diff) if max_diff is not None else "",
-        "1" if abs(1.0 - lam) <= NEAR_CRITICAL_WINDOW else "0",
-    ))
-    return "\n".join(lines) + "\n", summary
+        ))
+    near_critical = int(abs(1.0 - lam) <= NEAR_CRITICAL_WINDOW)
+    return _csv(CURVE_HEADER, rows), (lam, g, t_star, max_diff, near_critical)
 
 
 def _write_text(path: Path, text: str):
@@ -219,16 +208,13 @@ def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
         params = ModelParams(N=config.N, lam=lam, g=0.0)
         grid = make_kgrid(params)
         c1val = c1(params, grid).value.real
-        lines = [CORRELATOR_HEADER]
-        for t in ts:
-            lines.append(",".join(_fmt(v) for v in (
-                t,
-                c1val,
-                c2_irreducible(params, grid, float(t), 0.0).value.real,
-                c3_irreducible(params, grid, float(t), float(t) / 2.0, 0.0).value.real,
-            )))
+        rows = [(t,
+                 c1val,
+                 c2_irreducible(params, grid, float(t), 0.0).value.real,
+                 c3_irreducible(params, grid, float(t), float(t) / 2.0, 0.0).value.real)
+                for t in ts]
         path = Path(config.outputs) / f"correlators_lambda{lam:g}.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+        _write_text(path, _csv(CORRELATOR_HEADER, rows))
         written.append(path)
     return written
 
@@ -260,8 +246,7 @@ def run_sweep(config: SweepConfig) -> list[Path]:
     summaries = dict(zip(unique, (summary for _, summary in results)))
 
     summary_path = outdir / "summary.csv"
-    _write_text(summary_path, "".join(
-        f"{line}\n" for line in [SUMMARY_HEADER] + [summaries[n] for n in names]))
+    _write_text(summary_path, _csv(SUMMARY_HEADER, [summaries[n] for n in names]))
     return [path for path, _ in results] + [summary_path]
 
 

@@ -11,6 +11,7 @@ from tfim_dephasing import (
     dispersion,
     make_kgrid,
 )
+from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, blocks, mode_chunks
 
 
 def test_grid_n4_lambda0(model):
@@ -119,6 +120,30 @@ def test_dispersion_lower_bound(model):
 def test_invalid_params(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(N=4, lam=math.nan, g=0.0),
+        dict(N=4, lam=0.5, g=-math.inf),
+        dict(N=4, lam=0.5, g=0.1, omega0=math.nan),
+    ],
+)
+def test_non_finite_params_report_finiteness(kwargs):
+    # finiteness is checked before the lam >= 0 range, which nan also fails
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("n, width", [(0, 5), (1, 1), (10, 1 << 16), (100, 1000), (9000, 1)])
+def test_mode_chunks_and_blocks_tile_the_range(n, width):
+    for walk, size in ((mode_chunks(n), MODE_CHUNK),
+                       (blocks(n, width), max(1, BLOCK_ELEMENTS // width))):
+        parts = [range(n)[s] for s in walk]
+        assert [i for part in parts for i in part] == list(range(n))
+        assert all(len(part) == size for part in parts[:-1])
+        assert all(0 < len(part) <= size for part in parts[-1:])
 
 
 def test_minimal_chain_allowed():

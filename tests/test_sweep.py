@@ -102,6 +102,7 @@ def test_load_config_rejects_garbage(tmp_path):
         dict(lambdas=()),
         dict(gs=()),
         dict(N=15),
+        dict(N=16.0),
         dict(t_steps=1),
         dict(t_max=0.0),
         dict(orders=4),
