@@ -88,10 +88,14 @@ def _coefficients(eps, s2, g):
     a = np.hypot(gs, 2.0 * g - eps)
     b = np.hypot(gs, 2.0 * g + eps)
     ab = a * b
-    # a - b and the middle coefficient minus one, in cancellation-free form
+    # a - b and the middle coefficient minus one, in cancellation-free form:
+    # Cm1 = q/(ab) - 1 has two negative terms where q <= 0; elsewhere it is
+    # rationalized, which also makes Cm1 = 0 exactly at g = 0
     amb = -8.0 * g * eps / (a + b)
-    p = g * g * (s2 * s2 + 4.0) + eps * eps
-    cm1 = -4.0 * eps * eps * g * g * s2 * s2 / (ab * ((2.0 * eps * eps - p) + ab))
+    q = eps * eps - g * g * (s2 * s2 + 4.0)
+    direct = q <= 0.0
+    cm1 = np.where(direct, q / ab - 1.0, -4.0 * eps * eps * g * g * s2 * s2
+                   / (ab * np.where(direct, 1.0, q + ab)))
     wa, wb = (2.0 * g - eps) / a, (2.0 * g + eps) / b
     return a, b, a + b, amb, 0.5 * cm1, 0.5 * (wa + wb), 0.5 * (wa - wb)
 

@@ -281,6 +281,23 @@ def test_gamma_exact_weak_coupling_against_extended_precision(model):
     assert im_gap < 5e-11
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than double here")
+@pytest.mark.parametrize("lam, g", [(0.9, 2.5), (0.9, 10.0), (1.0, 50.0)])
+def test_closed_form_strong_coupling_against_extended_precision(model, lam, g):
+    """Per-mode overlaps at strong coupling, where eps^2 - g^2(s^2 + 4) < 0 and
+    a rationalized Cm1 would divide by a cancelling sum."""
+    _, grid = model(2000, lam, g=g)
+    ts = np.array([0.7, 3.0, 30.0])
+    eps = grid.eps_pos.astype(np.longdouble)
+    gl, tau = np.longdouble(g), ts.astype(np.longdouble)[:, None]
+    coupling = 1j * gl * grid.sin2theta_pos.astype(np.longdouble)
+    p00, p01, _ = _longdouble_su2(-eps, coupling, eps - 4 * gl, tau)
+    m00, _, m10 = _longdouble_su2(-eps, -coupling, eps + 4 * gl, -tau)
+    got = exact_mod._closed_form_entries(grid.eps_pos, grid.sin2theta_pos, g, ts)
+    assert np.max(np.abs(got - (p00 * m00 + p01 * m10))) < 1e-11
+
+
 def test_gamma_exact_memory_bounded_by_block(model):
     params, grid = model(8000, 0.9, g=2.5)
     ts = np.linspace(0, 30, 32)
