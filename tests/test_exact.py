@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -338,6 +339,55 @@ def test_series_comparison_first_order_alignment(model):
     )
     g1 = gamma_order1(params, grid, t)
     assert abs(cmp_gamma[-1] - series) < 1e-4 * abs(g1)
+
+
+def _taylor_in_g(grid, t, rho=0.1, points=64):
+    """Taylor coefficients in g of sum_{k>0} ln A_k(g, t), from the FFT of its
+    values on the circle |g| = rho (the trapezoidal rule converges geometrically
+    for an analytic function; Trefethen & Weideman, SIAM Rev. 56 (2014) 385).
+    A_k is the 00 entry of exp(-it(H + gB)) exp(+it(H - gB)) in the pair basis,
+    exponentiated through np.linalg.eig: at complex g, H +/- gB is not Hermitian.
+    By the maximum principle, |A_k - 1| < 1 on the circle keeps it below 1 on
+    the disk, so the principal log is analytic there."""
+    eps, s2 = grid.eps_pos, grid.sin2theta_pos
+    h = np.zeros((eps.size, 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = -eps, eps
+    b = np.zeros_like(h)
+    b[:, 0, 1], b[:, 1, 0], b[:, 1, 1] = 1j * s2, -1j * s2, -4.0
+
+    def expm(m, tau):  # exp(-i tau m) for a stack of 2x2 matrices
+        w, v = np.linalg.eig(m)
+        return (v * np.exp(-1j * tau * w)[:, None, :]) @ np.linalg.inv(v)
+
+    gs = rho * np.exp(2j * np.pi * np.arange(points) / points)
+    overlaps = np.array([(expm(h + g * b, t) @ expm(h - g * b, -t))[:, 0, 0] for g in gs])
+    assert np.max(np.abs(overlaps - 1.0)) < 1.0
+    return np.fft.fft(np.log(overlaps).sum(axis=1)) / points / rho ** np.arange(points)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("t", [1.0, 3.0])
+def test_series_orders_match_taylor_coefficients_of_exact(model, lam, t):
+    """Order-by-order oracle: the Taylor coefficients of the exact Gamma in g,
+    mapped to the series convention (conjugated, with the coupling part of the
+    deterministic phase, 2itg c1, added to order 1), against each series order.
+    Order 2 is the sin^2(2theta)-weighted sum, not gamma_order2 (README,
+    "Known discrepancies")."""
+    params, grid = model(100, lam, g=1.0)
+    coef = _taylor_in_g(grid, t)
+    series = np.conj(coef)
+    series[1] += 2j * t * np.sum(grid.cos2theta)  # the phase's coupling part at g = 1
+    assert abs(series[1] - gamma_order1(params, grid, t)) < 1e-12 * abs(series[1])
+    order3 = gamma_order3(params, grid, t)
+    assert abs(series[3] - order3) < 1e-10 * abs(order3)
+    eps = grid.eps_pos
+    order2 = -np.sum(grid.sin2theta_pos**2 * (1.0 - np.cos(2.0 * eps * t)) / eps**2)
+    assert abs(series[2] - order2) < 1e-10 * abs(order2)
+    for g in (0.005, 0.03):
+        params_g = dataclasses.replace(params, g=g)
+        exact = gamma_exact(params_g, grid, np.array([t])).gamma[0]
+        taylor = np.polyval(coef[23::-1], g)
+        assert abs(exact - taylor) < 1e-9 * abs(exact)
 
 
 def test_weak_coupling_decay_matches_order2_scale(model):
