@@ -206,9 +206,10 @@ def gamma_order3_quadrature(
     literal step brackets; the integrand is smooth on each cell, so this
     converges spectrally.  The three pair sums are computed once per node for
     all six cells, and the outer axis is walked in ``blocks`` of points^2-node
-    rows, so memory is bounded by a slab, not by points^3.  split_orderings=False uses one
-    tensor-product rule over the whole cube; the kernel kinks across the
-    ordering boundaries limit that variant to O(points^-2) accuracy.
+    rows, so memory is bounded by a slab, not by points^3.
+    split_orderings=False uses one tensor-product rule over the whole cube;
+    the kernel kinks across the ordering boundaries limit that variant to
+    O(points^-2) accuracy.
     """
     params.require_zero_temperature("gamma_order3_quadrature")
     if points < 2:

@@ -83,8 +83,7 @@ def mode_chunks(n: int):
 
 
 def blocks(n: int, width: int):
-    """Slices of max(1, BLOCK_ELEMENTS // width) rows covering range(n), so a
-    block of rows of ``width`` elements holds about BLOCK_ELEMENTS."""
+    """Slices of max(1, BLOCK_ELEMENTS // width) rows of ``width`` elements covering range(n)."""
     rows = max(1, BLOCK_ELEMENTS // width)
     return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
