@@ -65,21 +65,29 @@ def ab_magnitudes(mode: KMode, g: float) -> tuple[float, float]:
     return float(a), float(b)
 
 
-def _pair_generators(mode: KMode, g: float) -> tuple[np.ndarray, np.ndarray]:
-    eps, s = mode.eps, mode.sin2theta
-    coupling = np.array([[0.0, 1j * g * s], [-1j * g * s, -4.0 * g]])
-    h = np.array([[-eps, 0.0], [0.0, eps]], dtype=complex)
-    return h + coupling, h - coupling
+def _oracle_entries(eps, s2, g, ts):
+    """Overlaps from explicit 2x2 matrix exponentials: rows ts, columns modes.  Each
+    mode's M+/- = H_k +/- g B_k is diagonalized once (eigh on the stack)."""
+    h = np.zeros((eps.size, 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = -eps, eps
+    coupling = np.zeros_like(h)
+    coupling[:, 0, 1], coupling[:, 1, 0], coupling[:, 1, 1] = 1j * g * s2, -1j * g * s2, -4.0 * g
+    ev, vec = np.linalg.eigh(np.stack([h + coupling, h - coupling]))
+    # U+ = exp(-it M+), U- = exp(+it M-): (time, U+ or U-, mode, 2, 2)
+    phases = np.exp(np.multiply.outer(ts, [-1j, 1j])[..., None, None, None] * ev[:, :, None, :])
+    u = (vec * phases) @ vec.conj().swapaxes(-1, -2)
+    return (u[:, 0] @ u[:, 1])[..., 0, 0]
+
+
+def _at(entries, mode: KMode, g: float, t: float) -> complex:
+    """One mode's overlap at one time from a (times, modes) kernel."""
+    eps, s2 = np.array([mode.eps]), np.array([mode.sin2theta])
+    return complex(entries(eps, s2, g, np.array([t]))[0, 0])
 
 
 def mode_overlap_oracle(mode: KMode, g: float, t: float) -> complex:
     """Ground-truth overlap from explicit 2x2 matrix exponentials (eigh route)."""
-    m_plus, m_minus = _pair_generators(mode, g)
-    ev_p, vec_p = np.linalg.eigh(m_plus)
-    ev_m, vec_m = np.linalg.eigh(m_minus)
-    u_p = (vec_p * np.exp(-1j * t * ev_p)) @ vec_p.conj().T
-    u_m = (vec_m * np.exp(1j * t * ev_m)) @ vec_m.conj().T
-    return complex((u_p @ u_m)[0, 0])
+    return _at(_oracle_entries, mode, g, t)
 
 
 def _coefficients(eps, s2, g):
@@ -154,23 +162,12 @@ def _closed_form_rows(coef, g, starts, ends, r):
         yield ts, _assemble(coef, g, ts, cur_s, cur_d)
 
 
-def _oracle_rows(modes, g, starts, ends, r):
-    """The rows of ``_closed_form_rows``, each entry from the matrix oracle."""
-    h = (ends - starts) / r
-    for ts in [ends] + [starts + j * h for j in range(1, r)]:
-        yield ts, np.array([[mode_overlap_oracle(m, g, float(t)) for m in modes] for t in ts])
-
-
 def mode_overlap_closed_form(
     mode: KMode, g: float, t: float, corrected: bool = True
 ) -> complex:
     """Closed-form overlap; ``corrected=False`` selects the legacy coefficients."""
     if corrected:
-        return complex(
-            _closed_form_entries(
-                np.array([mode.eps]), np.array([mode.sin2theta]), g, np.array([t])
-            )[0, 0]
-        )
+        return _at(_closed_form_entries, mode, g, t)
     eps, s = mode.eps, mode.sin2theta
     a, b = ab_magnitudes(mode, g)
     ta, tb = t * a, t * b
@@ -187,16 +184,14 @@ def mode_abc(mode: KMode, g: float, t: float) -> ModeABC:
 
 
 def certify_closed_form(grid: KGrid, gs, times) -> float:
-    """Max abs deviation of the corrected closed form from the matrix oracle."""
+    """Max abs deviation of the corrected closed form from the matrix oracle; nan if either is."""
+    eps, s2, ts = grid.eps_pos, grid.sin2theta_pos, np.asarray(times, dtype=float)
     worst = 0.0
-    for mode in grid.positive_modes:
-        for g in gs:
-            for t in times:
-                diff = abs(
-                    mode_overlap_closed_form(mode, g, t) - mode_overlap_oracle(mode, g, t)
-                )
-                worst = max(worst, diff)
-    return worst
+    for g in gs:
+        for blk in blocks(ts.size, 4 * eps.size):  # a 2x2 matrix per mode and time
+            diff = _closed_form_entries(eps, s2, g, ts[blk]) - _oracle_entries(eps, s2, g, ts[blk])
+            worst = np.maximum(worst, np.max(np.abs(diff)))
+    return float(worst)
 
 
 def _refinement(times: np.ndarray, max_rate: float) -> int:
@@ -246,15 +241,16 @@ def gamma_exact(
     r = _refinement(ts, float(np.max(coef[2])) + 4.0 * abs(g))
     starts = np.concatenate([[0.0], ts[:-1]])
 
-    modes = grid.positive_modes if use_oracle else None
     gamma = np.zeros(ts.size, dtype=complex)
     for k in mode_chunks(coef[0].size):
         k_pos = grid.k_pos[k]
         chunk = [c[k] for c in coef]
+        chunk_modes = grid.eps_pos[k], grid.sin2theta_pos[k]
         end_arg, end_turns = np.zeros(k_pos.size), 0.0  # at t = 0, where A_k = 1
         for blk in blocks(ts.size, r * k_pos.size):
-            fine = (_oracle_rows(modes[k], g, starts[blk], ts[blk], r) if use_oracle
-                    else _closed_form_rows(chunk, g, starts[blk], ts[blk], r))
+            fine = _closed_form_rows(chunk, g, starts[blk], ts[blk], r)
+            if use_oracle:  # the same sample times, each entry from the matrix oracle
+                fine = ((t, _oracle_entries(*chunk_modes, g, t)) for t, _ in fine)
             mags, arg = _checked_angles(*next(fine), k_pos)
             prev = np.vstack([end_arg, arg[:-1]])
             wraps = np.zeros_like(arg)

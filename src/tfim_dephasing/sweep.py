@@ -363,10 +363,9 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
                         "near-critical monotone growth", subject, True,
                         "|Gamma3| non-decreasing over the window"))
 
-    for lam in config.lambdas:
-        gs = [g for g in config.gs if g != 0.0]
-        if len(gs) < 2:
-            continue
+    # one verdict per distinct lambda, over the distinct nonzero g
+    gs = [g for g in dict.fromkeys(config.gs) if g != 0.0]
+    for lam in dict.fromkeys(config.lambdas) if len(gs) > 1 else ():
         subject = f"lambda={lam:g}, gs={','.join(f'{g:g}' for g in gs)}"
         ref = curves[(lam, gs[0])]["abs_g3"] / gs[0] ** 3
         ok, detail = True, "|Gamma3|/g^3 identical across g"

@@ -408,6 +408,19 @@ def test_check_figures_reports_missing_crossing(tmp_path):
     assert "lambda=0.5" in failing[0].subject and "g=1" in failing[0].subject
 
 
+def test_check_figures_one_scaling_verdict_per_distinct_lambda(tmp_path):
+    config = small_config(
+        tmp_path, lambdas=(0.5, 0.5), gs=(0.25, 0.5, 0.25, 0.0), N=64, t_max=5.0,
+        t_steps=16, emit_exact=False,
+    )
+    run_sweep(config)
+    results = check_figures(config).results
+    verdicts = [(r.claim, r.subject) for r in results]
+    assert len(verdicts) == len(set(verdicts))
+    scaling = [r.subject for r in results if r.claim == "cubic coupling scaling"]
+    assert scaling == ["lambda=0.5, gs=0.25,0.5"]
+
+
 def test_check_figures_requires_outputs(tmp_path):
     config = small_config(tmp_path)
     with pytest.raises(ValueError):
