@@ -21,14 +21,20 @@ A_k(0) = A_k(g=0) = 1 holds exactly.  A legacy variant (``corrected=False``:
 middle coefficient (eps^2 - s^2)/(ab), eps-weighted imaginary part) violates
 the g = 0 identity and is kept for comparison only.
 
-The decoherence function is Gamma(t) = sum_{k>0} ln A_k(t) with the per-mode
-log branch tracked continuously in t from Gamma(0) = 0.  The deterministic
-phase -2it(omega0 + g sum_k cos 2theta_k) is reported separately.
+The decoherence function is Gamma(t) = sum_{k>0} ln A_k(t), each log's branch tracked
+from Gamma(0) = 0.  Im ln A_k = 4gt + Im ln B_k, and B_k = e^{-4igt} A_k (not the
+coupling matrix) is a sum of four circles, as p cos wt + iq sin wt =
+((p+q)/2)e^{iwt} + ((p-q)/2)e^{-iwt}: radii |1 + Cm1/2 -/+ beta|/2 at +/-(a-b) and
+|Cm1/2 +/- alpha|/2 at +/-(a+b).  rate_k is the largest one's frequency; speed_k =
+sum radius |freq - rate_k| bounds |d/dt B_k e^{-i rate_k t}|, and is 0 where the
+largest radius exceeds the other three together (a half-plane: no winding).  Wraps
+follow np.unwrap's rule on arg B_k - rate_k t, exact where |B_k| at the two ends sums
+to more than width times speed_k; other intervals are halved at closed-form midpoints.
+The deterministic phase -2it(omega0 + g sum_k cos 2theta_k) is reported separately.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -109,57 +115,37 @@ def _coefficients(eps, s2, g):
 
 
 def _phasors(coef, ts):
-    """e^{it(a+b)} and e^{it(a-b)} from cos and sin: rows ts, columns modes."""
-    x = np.multiply.outer(ts, np.stack(coef[2:4]))  # (time, a+b or a-b, mode)
+    """e^{it(a+b)} and e^{it(a-b)} from cos and sin; ts broadcasts against the modes."""
+    x = np.stack([ts * coef[2], ts * coef[3]])  # (a+b or a-b, ...)
     out = np.empty(x.shape, dtype=complex)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
-    return out[:, 0], out[:, 1]
+    return out[0], out[1]
 
 
-def _assemble(coef, g, ts, ps, pd):
-    """A_k from ps, pd and e^{4igt} (one per row)."""
-    *_, half_cm1, alpha, beta = coef
-    out = np.empty(ps.shape, dtype=complex)
-    out.real = pd.real + half_cm1 * (pd.real - ps.real)
-    out.imag = -(alpha * ps.imag + beta * pd.imag)
-    out *= np.exp(4j * g * ts)[:, None]
-    return out
+def _assemble(coef, ps, pd):
+    """B_k = e^{-4igt} A_k from the phasors ps, pd, written over pd."""
+    *_, hc, alpha, beta = coef
+    pd.real, pd.imag = pd.real + hc * (pd.real - ps.real), -(alpha * ps.imag + beta * pd.imag)
+    return pd
 
 
 def _closed_form_entries(eps, s2, g, ts):
-    """Corrected closed-form overlaps, vectorized over times (rows) and modes."""
+    """Corrected closed-form overlaps A_k, vectorized over times (rows) and modes."""
     coef = _coefficients(eps, s2, g)
-    return _assemble(coef, g, ts, *_phasors(coef, ts))
+    return np.exp(4j * g * ts)[:, None] * _assemble(coef, *_phasors(coef, ts[:, None]))
 
 
-def _closed_form_rows(coef, g, starts, ends, r):
-    """Yield (times, overlaps) at the ends of the intervals (starts, ends], then
-    at each of their r - 1 sub-steps, which only choose the log branch.  Every
-    ANCHOR_ROWS-th end takes the closed form of e^{it(a+/-b)}; each end between
-    is the previous one times e^{iw(a+/-b)}, one pair per distinct width w, and
-    the sub-steps are stepped the same way from each interval's start (the
-    closed form at starts[0], the previous end after it).
-    """
+def _closed_form_rows(coef, ends, widths):
+    """B_k at times ``ends``: the closed form every ANCHOR_ROWS-th row, and between,
+    the previous row times e^{iw(a+/-b)}, one pair per distinct width w."""
     anchors = np.arange(ends.size) % ANCHOR_ROWS == 0
-    values, rows = np.unique(np.where(anchors, ends, ends - starts), return_inverse=True)
-    ps, pd = (p[rows] for p in _phasors(coef, values))
+    values, rows = np.unique(np.where(anchors, ends, widths), return_inverse=True)
+    ps, pd = (p[rows] for p in _phasors(coef, values[:, None]))
     for j in range(1, ANCHOR_ROWS):  # row j of every anchor's run at once
         ps[j::ANCHOR_ROWS] *= ps[j - 1:-1:ANCHOR_ROWS]
         pd[j::ANCHOR_ROWS] *= pd[j - 1:-1:ANCHOR_ROWS]
-    yield ends, _assemble(coef, g, ends, ps, pd)
-    if r == 1:
-        return
-    h = (ends - starts) / r
-    steps, rows = np.unique(h, return_inverse=True)
-    step_s, step_d = (p[rows] for p in _phasors(coef, steps))
-    cur_s, cur_d = (np.vstack([p0, p[:-1]])
-                    for p0, p in zip(_phasors(coef, starts[:1]), (ps, pd)))
-    for j in range(1, r):
-        cur_s *= step_s
-        cur_d *= step_d
-        ts = starts + j * h
-        yield ts, _assemble(coef, g, ts, cur_s, cur_d)
+    return _assemble(coef, ps, pd)
 
 
 def mode_overlap_closed_form(
@@ -188,80 +174,93 @@ def certify_closed_form(grid: KGrid, gs, times) -> float:
     eps, s2, ts = grid.eps_pos, grid.sin2theta_pos, np.asarray(times, dtype=float)
     worst = 0.0
     for g in gs:
-        for blk in blocks(ts.size, 4 * eps.size):  # a 2x2 matrix per mode and time
-            diff = _closed_form_entries(eps, s2, g, ts[blk]) - _oracle_entries(eps, s2, g, ts[blk])
-            worst = np.maximum(worst, np.max(np.abs(diff)))
+        for m in blocks(eps.size, 4 * ts.size):  # all times; a 2x2 matrix per mode and time
+            e, s = eps[m], s2[m]
+            diff = _closed_form_entries(e, s, g, ts) - _oracle_entries(e, s, g, ts)
+            worst = np.maximum(worst, np.max(np.abs(diff), initial=0.0))
     return float(worst)
 
 
-def _refinement(times: np.ndarray, max_rate: float) -> int:
-    """Sub-steps per interval between requested times that advance phase < pi/2."""
-    step = float(np.max(np.diff(times, prepend=0.0)))
-    return max(1, math.ceil(max_rate * step / (0.5 * math.pi)))
+def _circles(coef):
+    """rate_k and speed_k of B_k's four circles (module docstring)."""
+    *_, hc, alpha, beta = coef
+    radius = 0.5 * np.abs([1.0 + hc - beta, 1.0 + hc + beta, hc + alpha, hc - alpha])
+    freq = np.stack([coef[3], -coef[3], coef[2], -coef[2]])
+    rate = freq[np.argmax(radius, axis=0), np.arange(hc.size)]
+    speed = np.sum(radius * np.abs(freq - rate), axis=0)
+    return rate, np.where(2.0 * np.max(radius, axis=0) > np.sum(radius, axis=0), 0.0, speed)
 
 
-def _checked_angles(ts, entries, k_pos):
-    """Magnitudes and angles of the overlaps; raises below OVERLAP_FLOOR."""
+def _wraps(turn, width, rate):
+    """2 pi wraps of arg B_k over a width whose principal args move by ``turn``."""
+    return np.rint((width * rate - turn) * (0.5 / np.pi))  # np.unwrap's rule, minus rate t
+
+
+def _checked_angles(entries, ts, k_pos):
+    """Magnitudes and angles of the overlaps (ts, k_pos broadcast); raises below OVERLAP_FLOOR."""
     mags = np.abs(entries)
     if np.any(mags < OVERLAP_FLOOR):
-        i, j = np.unravel_index(int(np.argmin(mags)), mags.shape)
+        i = int(np.argmin(mags))
+        t, k = (np.broadcast_to(x, mags.shape).flat[i] for x in (ts, k_pos))
         raise BranchTrackingError(
-            f"overlap magnitude {mags[i, j]:.3e} below {OVERLAP_FLOOR} "
-            f"at t={ts[i]}, k={k_pos[j]}"
-        )
+            f"overlap magnitude {mags.flat[i]:.3e} below {OVERLAP_FLOOR} at t={t}, k={k}")
     return mags, np.angle(entries)
 
 
-def gamma_exact(
-    params: ModelParams,
-    grid: KGrid,
-    times: np.ndarray,
-    use_oracle: bool = False,
-) -> DecoherenceCurve:
-    """Exact Gamma(t) = sum_{k>0} ln A_k(t) with continuous branch tracking.
+def _bisected_wraps(coef, k_pos, t, mags, arg):
+    """Wraps over intervals failing the certificate, one mode each (t, mags, arg: both ends),
+    halved at closed-form midpoints, each checked against OVERLAP_FLOOR, until all pass."""
+    (rate, speed), piece, wraps = _circles(coef), np.arange(t.shape[1]), np.zeros(t.shape[1])
+    while piece.size:
+        mid = 0.5 * (t[0] + t[1])
+        if np.any((mid == t[0]) | (mid == t[1])):  # |B_k| < ulp(t) speed_k at both ends
+            raise BranchTrackingError(f"cannot halve an interval before t={np.max(t)}")
+        c = [x[piece] for x in coef]
+        mid_mags, mid_arg = _checked_angles(_assemble(c, *_phasors(c, mid)), mid, k_pos[piece])
+        piece = np.concatenate([piece, piece])  # lower halves, then upper halves
+        t, mags, arg = (np.hstack([[x[0], x_mid], [x_mid, x[1]]])
+                        for x, x_mid in ((t, mid), (mags, mid_mags), (arg, mid_arg)))
+        fail = mags[0] + mags[1] <= (t[1] - t[0]) * speed[piece]
+        np.add.at(wraps, piece[~fail], _wraps(arg[1] - arg[0], t[1] - t[0], rate[piece])[~fail])
+        piece, t, mags, arg = piece[fail], t[:, fail], mags[:, fail], arg[:, fail]
+    return wraps
 
-    The branch of ln A_k counts the 2 pi wraps of arg A_k (the np.unwrap rule)
-    over r equal sub-steps per interval between requested times, from t = 0.
-    Modes are summed over ``mode_chunks``, time in ``blocks`` of rows of r
-    sub-step samples per mode.  Every ANCHOR_ROWS-th requested time of
-    a block takes the closed form of e^{it(a+/-b)}; the times between and the
-    sub-steps are the previous value times e^{iw(a+/-b)}, one pair per distinct
-    width w, so each value is at most ANCHOR_ROWS + r - 2 multiplies from a
-    closed form.  Wrap counts carry over between blocks, so memory is bounded
-    by a block.  ``use_oracle`` takes the overlaps from the matrix oracle.
 
-    Raises BranchTrackingError if any per-mode overlap magnitude, sub-steps
-    included, falls below OVERLAP_FLOOR (a genuine zero of the overlap).
+def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> DecoherenceCurve:
+    """Exact Gamma(t) = sum_{k>0} ln A_k(t), branches by the module docstring's rule.
+
+    Modes are summed over ``mode_chunks`` and time in ``blocks``.  Raises BranchTrackingError
+    where |A_k| at a requested time or a bisection midpoint falls below OVERLAP_FLOOR.
     """
     params.require_zero_temperature("gamma_exact")
     ts = checked_times(times)
-
-    g = params.g
-    coef = _coefficients(grid.eps_pos, grid.sin2theta_pos, g)
-    r = _refinement(ts, float(np.max(coef[2])) + 4.0 * abs(g))
-    starts = np.concatenate([[0.0], ts[:-1]])
-
-    gamma = np.zeros(ts.size, dtype=complex)
+    g, coef = params.g, _coefficients(grid.eps_pos, grid.sin2theta_pos, params.g)
+    t_all = np.concatenate([[0.0], ts])  # B_k(0) = 1, then the requested times
+    widths = np.diff(t_all)
+    # 4gt mod 2 pi joins each arg, its whole turns the wraps (2gNt after the sum cancels)
+    whole, trace = np.divmod(4.0 * g * ts, 2.0 * np.pi)
+    gamma, trace = np.zeros(ts.size, dtype=complex), trace[:, None]
     for k in mode_chunks(coef[0].size):
-        k_pos = grid.k_pos[k]
-        chunk = [c[k] for c in coef]
-        chunk_modes = grid.eps_pos[k], grid.sin2theta_pos[k]
-        end_arg, end_turns = np.zeros(k_pos.size), 0.0  # at t = 0, where A_k = 1
-        for blk in blocks(ts.size, r * k_pos.size):
-            fine = _closed_form_rows(chunk, g, starts[blk], ts[blk], r)
-            if use_oracle:  # the same sample times, each entry from the matrix oracle
-                fine = ((t, _oracle_entries(*chunk_modes, g, t)) for t, _ in fine)
-            mags, arg = _checked_angles(*next(fine), k_pos)
-            prev = np.vstack([end_arg, arg[:-1]])
-            wraps = np.zeros_like(arg)
-            for nxt in chain((_checked_angles(*row, k_pos)[1] for row in fine), [arg]):
-                step = nxt - prev
-                wraps += step < -np.pi
-                wraps -= step > np.pi
-                prev = nxt
+        k_pos, chunk = grid.k_pos[k], [c[k] for c in coef]
+        rate, speed = _circles(chunk)
+        tracked = np.flatnonzero(speed)  # modes whose B_k e^{-i rate_k t} may wind
+        end_mags, end_arg, end_turns = np.ones(k_pos.size), np.zeros(k_pos.size), 0.0
+        for blk in blocks(ts.size, k_pos.size):
+            b = _closed_form_rows(chunk, ts[blk], widths[blk])
+            # row i of mags and arg is at t_all[blk.start + i]
+            mags, arg = (np.vstack([end, x]) for end, x in
+                         zip((end_mags, end_arg), _checked_angles(b, ts[blk, None], k_pos)))
+            h = widths[blk, None]
+            wraps = _wraps(np.diff(arg, axis=0), h, rate)
+            rows, cols = np.nonzero(mags[:-1, tracked] + mags[1:, tracked] <= h * speed[tracked])
+            ends, cols = np.stack([rows, rows + 1]), tracked[cols]
+            wraps[rows, cols] = _bisected_wraps([c[cols] for c in chunk], k_pos[cols],
+                                                t_all[blk.start + ends], mags[ends, cols],
+                                                arg[ends, cols])
             turns = end_turns + np.cumsum(wraps.sum(axis=1))  # wraps summed over modes
-            gamma[blk] += np.log(mags).sum(axis=1) + 1j * (arg.sum(axis=1) + 2.0 * np.pi * turns)
-            end_arg, end_turns = arg[-1], turns[-1]
+            im = (arg[1:] + trace[blk]).sum(axis=1) + 2 * np.pi * (turns + k_pos.size * whole[blk])
+            gamma[blk] += np.log(mags[1:]).sum(axis=1) + 1j * im
+            end_mags, end_arg, end_turns = mags[-1].copy(), arg[-1].copy(), turns[-1]
 
     phase = -2j * ts * (params.omega0 + g * c1(params, grid).value.real)
     return DecoherenceCurve(ts, gamma, phase, params)

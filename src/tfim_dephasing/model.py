@@ -84,7 +84,7 @@ def mode_chunks(n: int):
 
 def blocks(n: int, width: int):
     """Slices of max(1, BLOCK_ELEMENTS // width) rows of ``width`` elements covering range(n)."""
-    rows = max(1, BLOCK_ELEMENTS // width)
+    rows = max(1, BLOCK_ELEMENTS // max(width, 1))
     return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
 

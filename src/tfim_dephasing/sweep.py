@@ -304,13 +304,13 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
     """Evaluate the qualitative regime claims against a finished sweep.
 
     Claims:
-      - weak coupling (g <= WEAK_G_MAX, lam > 0): |Gamma3(t)| < |Gamma2(t)| at
+      - weak coupling (|g| <= WEAK_G_MAX, lam > 0): |Gamma3(t)| < |Gamma2(t)| at
         every sampled t > 0.  (lam = 0 is excluded: its flat dispersion makes
         |Gamma2| revive through zero periodically, so the pointwise ordering
         is not meaningful there.)
-      - strong coupling (g >= STRONG_G_MIN): some sampled t* has
+      - strong coupling (|g| >= STRONG_G_MIN): some sampled t* has
         |Gamma3(t*)| > |Gamma2(t*)|.
-      - cubic coupling scaling: |Gamma3|/g^3 is the same curve for every g at
+      - cubic coupling scaling: |Gamma3|/|g|^3 is the same curve for every g at
         fixed lambda, to SCALING_REL_TOL relative.
       - near critical (|1 - lam| <= NEAR_CRITICAL_WINDOW, strong coupling):
         |Gamma3(t)| is non-decreasing over the sampled window.
@@ -329,7 +329,7 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
     for (lam, g), cur in curves.items():
         subject = f"lambda={lam:g}, g={g:g}"
         mask = cur["t"] > 0.0
-        if g <= WEAK_G_MAX and g > 0.0 and lam > 0.0:
+        if 0.0 < abs(g) <= WEAK_G_MAX and lam > 0.0:
             bad = mask & ~(cur["abs_g3"] < cur["abs_g2"])
             if bad.any():
                 t_bad = cur["t"][bad][0]
@@ -340,7 +340,7 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
                 results.append(ClaimResult(
                     "weak-coupling ordering", subject, True,
                     "|Gamma3| < |Gamma2| at every sampled t > 0"))
-        if g >= STRONG_G_MIN:
+        if abs(g) >= STRONG_G_MIN:
             above = mask & (cur["abs_g3"] > cur["abs_g2"])
             if above.any():
                 results.append(ClaimResult(
@@ -367,10 +367,10 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
     gs = [g for g in dict.fromkeys(config.gs) if g != 0.0]
     for lam in dict.fromkeys(config.lambdas) if len(gs) > 1 else ():
         subject = f"lambda={lam:g}, gs={','.join(f'{g:g}' for g in gs)}"
-        ref = curves[(lam, gs[0])]["abs_g3"] / gs[0] ** 3
-        ok, detail = True, "|Gamma3|/g^3 identical across g"
+        ref = curves[(lam, gs[0])]["abs_g3"] / abs(gs[0]) ** 3
+        ok, detail = True, "|Gamma3|/|g|^3 identical across g"
         for g in gs[1:]:
-            scaled = curves[(lam, g)]["abs_g3"] / g**3
+            scaled = curves[(lam, g)]["abs_g3"] / abs(g) ** 3
             denom = np.maximum(np.maximum(np.abs(ref), np.abs(scaled)), 1e-250)
             rel = np.abs(scaled - ref) / denom
             worst = int(np.argmax(rel))

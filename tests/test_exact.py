@@ -106,6 +106,7 @@ def test_certify_helper(model):
     _, grid = model(8, 1.2)
     assert certify_closed_form(grid, (0.0, 0.7), (0.5, 1.9)) < 1e-12
     assert certify_closed_form(grid, (), (0.5, 1.9)) == 0.0
+    assert certify_closed_form(grid, (0.7,), ()) == 0.0
 
 
 def test_certify_reports_nan(model, monkeypatch):
@@ -119,6 +120,20 @@ def test_certify_reports_nan(model, monkeypatch):
 
     monkeypatch.setattr(exact_mod, "_closed_form_entries", with_nan)
     assert math.isnan(certify_closed_form(grid, (0.7, 1.5), (0.5, 1.9)))
+
+
+def test_certify_diagonalizes_each_mode_once_per_coupling(model, monkeypatch):
+    """Blocks of modes with all times: eigh gets M+ and M- of each mode once per g."""
+    _, grid = model(2000, 0.9)
+    eigh, matrices = np.linalg.eigh, []
+
+    def counting(a):
+        matrices.append(a.size // 4)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert certify_closed_form(grid, (0.7, 2.5), np.linspace(0, 30, 64)) < 1e-11
+    assert len(matrices) > 2 and sum(matrices) == 2 * 1000 * 2
 
 
 def test_certify_memory_bounded_by_block(model):
@@ -199,7 +214,8 @@ def test_gamma_exact_time_validation(model):
 
 
 def test_gamma_exact_branch_tracking_consistency(model):
-    """Coarse sampling must agree with dense sampling thanks to internal refinement."""
+    """Coarse sampling agrees with dense sampling: the certified branch rule halves
+    only the intervals it cannot certify."""
     params, grid = model(16, 1.0, g=2.0)
     coarse_t = np.linspace(0, 6, 9)
     dense_t = np.linspace(0, 6, 2049)
@@ -211,31 +227,15 @@ def test_gamma_exact_branch_tracking_consistency(model):
 @pytest.mark.parametrize("steps, density", [(32, 16), (8, 128)])
 @pytest.mark.parametrize("lam", [0.5, 0.9, 1.0, 1.5])
 def test_gamma_exact_substeps_keep_branch(model, lam, steps, density):
-    """Sub-steps stepped between requested times pick the same branch as
-    requesting every sub-step time directly."""
+    """Coarse grids at strong coupling, where each interval spans many turns of
+    arg B_k, pick the same branch as the dense grid they subsample."""
     params, grid = model(2000, lam, g=2.5)
-    # the coarse grids need 13-55 sub-steps per interval, the dense ones none;
-    # on 8 steps, dropping the sub-steps moves Im Gamma by thousands
+    # every mode is dominated by one circle here, so its wraps need no bisection
     coarse = gamma_exact(params, grid, np.linspace(0, 30, steps)).gamma
     dense_ts = np.linspace(0, 30, density * (steps - 1) + 1)
     dense = gamma_exact(params, grid, dense_ts).gamma[::density]
     assert np.max(np.abs(coarse.imag - dense.imag)) < 1e-9
     assert np.max(np.abs(coarse.real - dense.real) / np.abs(dense.real).clip(1e-300)) < 1e-13
-
-
-def test_substep_overlaps_match_closed_form(model):
-    """The stepped phasors reproduce the closed form on uneven intervals."""
-    _, grid = model(64, 0.9)
-    eps, s2 = grid.eps_pos, grid.sin2theta_pos
-    coef = exact_mod._coefficients(eps, s2, 2.5)
-    starts, ends = np.array([0.0, 1.3, 4.0]), np.array([1.3, 4.0, 4.5])
-    row_sets = exact_mod._closed_form_rows(coef, 2.5, starts, ends, 9)
-    seen = []
-    for ts, entries in row_sets:  # the sub-steps share one buffer: compare in turn
-        seen.append(ts)
-        direct = exact_mod._closed_form_entries(eps, s2, 2.5, ts)
-        assert np.max(np.abs(entries - direct)) < 1e-13
-    assert len(seen) == 9 and np.array_equal(seen[0], ends)
 
 
 def _normwise_gap(gamma, entries):
@@ -279,16 +279,17 @@ def test_gamma_exact_thousands_of_stepped_rows(model):
 
 
 def test_gamma_exact_evaluates_closed_form_once_per_block_and_width(model, monkeypatch):
-    """Only every ANCHOR_ROWS-th row of a block and one step per distinct width
-    of the rows between take trig calls."""
+    """Only every ANCHOR_ROWS-th requested row of a block and one step per
+    distinct width of the rows between take trig calls."""
     params, grid = model(20000, 0.5, g=1.0)
-    ts = np.linspace(0.0, 5.0, 64)  # r = 1: no sub-steps on this grid
+    ts = np.linspace(0.0, 5.0, 64)
     rows = {}
     phasors = exact_mod._phasors
 
     def counting(coef, times):
-        chunk = float(coef[2][0])  # a + b of the chunk's first mode
-        rows[chunk] = rows.get(chunk, 0) + times.size
+        if times.ndim == 2:  # a column of requested rows; midpoints are one time per mode
+            chunk = float(coef[2][0])  # a + b of the chunk's first mode
+            rows[chunk] = rows.get(chunk, 0) + times.size
         return phasors(coef, times)
 
     monkeypatch.setattr(exact_mod, "_phasors", counting)
@@ -350,15 +351,16 @@ def test_closed_form_strong_coupling_against_extended_precision(model, lam, g):
 
 
 def test_gamma_exact_memory_bounded_by_block(model):
-    params, grid = model(8000, 0.9, g=2.5)
-    ts = np.linspace(0, 30, 32)
-    tracemalloc.start()
-    try:
-        gamma_exact(params, grid, ts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    for N, lam, g, ts, bound in [(8000, 0.9, 2.5, np.linspace(0, 30, 32), 16e6),
+                                 (20000, 0.0, 1.0, np.linspace(0, 5, 64), 8e6)]:
+        params, grid = model(N, lam, g=g)
+        tracemalloc.start()
+        try:
+            gamma_exact(params, grid, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (N, lam, g)
 
 
 @pytest.fixture(scope="module", params=[0.5, 1.0], ids=["lam0.5", "lam1"])
@@ -377,20 +379,70 @@ def test_gamma_exact_real_part_does_not_depend_on_density(readme_default_against
     assert np.max(np.abs(coarse.real - dense.real)) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "known branch slip: at r = 1 Im Gamma is -2 pi off on 44 (lam 0.5) and 42 "
-    "(lam 1) of 64 rows; certified branch counting is ROADMAP item 1"))
 def test_gamma_exact_branch_does_not_depend_on_density(readme_default_against_denser_grid):
     coarse, dense = readme_default_against_denser_grid
     assert np.max(np.abs(coarse.imag - dense.imag)) < 1e-9
 
 
+def _gamma_exact_cases(seed, count):
+    """Seeded (N, lam, g, t_max, samples) draws over the regimes of the property test."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lam = 1.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 3.0))
+        yield (2 * int(rng.integers(1, 40)), lam, float(rng.uniform(-3.0, 3.0)),
+               float(rng.uniform(0.1, 30.0)), int(rng.integers(2, 41)))
+
+
+def test_gamma_exact_branch_does_not_depend_on_density_property(model):
+    """About 300 seeded cases, each against the same call on the 8x-denser grid,
+    subsampled (the subsample equals the coarse grid bit for bit)."""
+    for N, lam, g, t_max, samples in _gamma_exact_cases(20261018, 300):
+        params, grid = model(N, lam, g=g)
+        dense = np.linspace(0.0, t_max, 8 * (samples - 1) + 1)
+        coarse = gamma_exact(params, grid, dense[::8]).gamma
+        fine = gamma_exact(params, grid, dense).gamma[::8]
+        assert np.max(np.abs(coarse - fine)) < 1e-9, (N, lam, g, t_max, samples)
+
+
 def test_gamma_exact_oracle_route_matches(model):
+    """Against sum_k ln A_k from the matrix oracle on a 512x-denser grid, each
+    mode's log unwrapped along it in steps below pi/2."""
     params, grid = model(8, 0.6, g=1.1)
-    ts = np.linspace(0, 2, 9)
-    fast = gamma_exact(params, grid, ts).gamma
-    slow = gamma_exact(params, grid, ts, use_oracle=True).gamma
-    assert np.max(np.abs(fast - slow)) < 1e-11
+    dense = np.linspace(0, 2, 4097)
+    entries = exact_mod._oracle_entries(grid.eps_pos, grid.sin2theta_pos, 1.1, dense)
+    arg = np.unwrap(np.angle(entries), axis=0)
+    assert np.max(np.abs(np.diff(arg, axis=0))) < np.pi / 2
+    oracle = (np.log(np.abs(entries)) + 1j * arg).sum(axis=1)[::512]
+    fast = gamma_exact(params, grid, dense[::512]).gamma
+    assert np.max(np.abs(fast - oracle)) < 1e-11
+
+
+def test_bisection_stops_at_adjacent_floats(model, monkeypatch):
+    """A one-ulp interval at t = 1e4 with |B_k| at the floor at both ends and at
+    the midpoint fails the certificate but cannot be halved: an error, not an
+    endless loop."""
+    _, grid = model(16, 0.0)
+    coef = [c[3:4] for c in exact_mod._coefficients(grid.eps_pos, grid.sin2theta_pos, 1.0)]
+    assert exact_mod._circles(coef)[1][0] * np.spacing(1e4) > 2e-12
+    monkeypatch.setattr(exact_mod, "_assemble", lambda c, ps, pd: np.full(ps.shape, 1e-12 + 0j))
+    t = np.array([[1e4], [np.nextafter(1e4, 2e4)]])
+    with pytest.raises(BranchTrackingError, match="cannot halve"):
+        exact_mod._bisected_wraps(coef, grid.k_pos[3:4], t, np.full((2, 1), 1e-12),
+                                  np.zeros((2, 1)))
+
+
+def test_gamma_exact_floor_checked_at_bisection_midpoints(model, monkeypatch):
+    """At lam = 0 no circle dominates, so intervals are halved; the floor sits
+    between the smallest |B_k| at a requested time (0.125) and at a midpoint (0.0059)."""
+    params, grid = model(16, 0.0, g=1.0)
+    ts = np.linspace(0, 5, 9)
+    entries = exact_mod._closed_form_entries(grid.eps_pos, grid.sin2theta_pos, 1.0, ts)
+    assert np.min(np.abs(entries)) > 0.1
+    monkeypatch.setattr(exact_mod, "OVERLAP_FLOOR", 0.01)
+    with pytest.raises(BranchTrackingError, match="below 0.01 at t=") as err:
+        gamma_exact(params, grid, ts)
+    t = float(str(err.value).split("t=")[1].split(",")[0])
+    assert 0.0 < t < 5.0 and np.min(np.abs(ts - t)) > 0.1
 
 
 def test_gamma_exact_overlap_floor_guard(model, monkeypatch):

@@ -494,3 +494,19 @@ def test_cli_single_stdout(tmp_path, capsys):
     config = small_config(tmp_path, gs=(0.3,), t_steps=5)
     run_sweep(config)
     assert out == (Path(config.outputs) / curve_filename(0.5, 0.3)).read_text()
+
+
+def test_check_figures_classifies_negative_couplings_by_magnitude(tmp_path):
+    """|Gamma2| grows as g^2 and |Gamma3| as |g|^3, so g = -0.01 is weak, g = -1
+    strong and near critical, and -0.5 scales like 0.5."""
+    config = small_config(
+        tmp_path, lambdas=(0.97,), gs=(0.5, -0.5, -1.0, -0.01), N=200, t_max=5.0,
+        t_steps=64, emit_exact=False,
+    )
+    run_sweep(config)
+    report = check_figures(config)
+    assert report.passed, report.format()
+    verdicts = {(r.claim, r.subject) for r in report.results}
+    assert ("weak-coupling ordering", "lambda=0.97, g=-0.01") in verdicts
+    for claim in ("strong-coupling crossing", "near-critical monotone growth"):
+        assert (claim, "lambda=0.97, g=-1") in verdicts
