@@ -11,7 +11,7 @@ from functools import partial
 
 from .errors import BranchTrackingError, QuadratureConvergenceError
 from .sweep import (
-    SweepConfig, check_figures, curve_csv, load_config, parse_config_value, run_sweep,
+    SweepConfig, check_figures, curve_csvs, load_config, parse_config_value, run_sweep,
 )
 from ._version import __version__
 
@@ -61,7 +61,7 @@ def _config_from_args(args) -> SweepConfig:
 def _run_single(args) -> int:
     config = load_config(None, lambdas=(args.lam,), gs=(args.g,), N=args.N, t_max=args.t_max,
                          t_steps=args.t_steps, orders=args.orders, emit_exact=True)
-    content, _ = curve_csv(config, args.lam, args.g)
+    [(content, _)] = curve_csvs(config, args.lam, [args.g])
     sys.stdout.write(content)
     return 0
 

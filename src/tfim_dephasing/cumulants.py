@@ -11,7 +11,10 @@ cosine kernels are elementary):
 with w_k = (n_k + 1)^2 (= 1 at zero temperature).  The third-order form comes
 from splitting the integration cube into its six strict-ordering cells, on
 each of which the step brackets are constants; the summands are even in k, so
-one kernel sums orders 2 and 3 over the k > 0 half grid, doubled.  Both closed
+one kernel (``mode_sums``) sums orders 2 and 3 over the k > 0 half grid,
+doubled.  The sums S2, S3 do not depend on g: ``scaled_terms`` forms
+Gamma2 = -2 g^2 S2 and Gamma3 = 2 i g^3 S3 from them, so a sweep computes them
+once per lambda, and ``gamma_series`` is the one-coupling view.  Both closed
 forms are checked against direct Gauss-Legendre quadrature of the kernels; for
 the third order the reference rule integrates the literal bracketed kernel,
 cell-by-cell (spectral) or on one tensor grid over the cube (error O(points^-2)).
@@ -46,8 +49,8 @@ def gamma_order1(params: ModelParams, grid: KGrid, t: float) -> complex:
     return complex(0.0, 2.0 * params.g * t * c1(params, grid).value.real)
 
 
-def _series_orders(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
-    """Gamma2 and Im Gamma3 at the times ts; an order above max_order reads 0.
+def mode_sums(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
+    """The g-free sums (S2, S3) of orders 2 and 3 at ts; an order above max_order reads 0.
 
     Sums the k > 0 half grid, doubled, over ``mode_chunks`` by ``blocks`` of
     times.  The chunks depend on the mode count only and are added in order,
@@ -69,15 +72,25 @@ def _series_orders(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: 
                 s2[i] += ((1.0 - cos_x) * w2[k]).sum(axis=1)
                 if max_order >= 3:
                     s3[i] += ((np.sin(x) - x * cos_x) * w3[k]).sum(axis=1)
-    g2 = -2.0 * params.g**2 * s2 if max_order >= 2 else s2
-    g3 = 2.0 * params.g**3 * s3 if max_order >= 3 else s3
-    return g2, g3
+    return s2, s3
+
+
+def scaled_terms(g: float, c1_value: float, ts, sums, max_order: int) -> list[CumulantTerms]:
+    """The per-order terms at coupling g from ``mode_sums`` and the real c1."""
+    s2, s3 = sums
+    g1 = 2.0 * g * c1_value * ts
+    g2 = -2.0 * g**2 * s2 if max_order >= 2 else s2
+    g3 = 2.0 * g**3 * s3 if max_order >= 3 else s3
+    out = []
+    for t, a, b, c in zip(ts, g1, g2, g3):
+        terms = (complex(0.0, a), complex(b, 0.0), complex(0.0, c))
+        out.append(CumulantTerms(float(t), *terms, sum(terms)))
+    return out
 
 
 def gamma_order2(params: ModelParams, grid: KGrid, t: float) -> complex:
     """Second-order term; real and <= 0."""
-    g2, _ = _series_orders(params, grid, np.array([t], dtype=float), 2)
-    return complex(g2[0], 0.0)
+    return gamma_series(params, grid, [t], 2)[0].gamma2
 
 
 def gamma_order3(
@@ -93,8 +106,7 @@ def gamma_order3(
     refinements agree to 1e-8 relative, capped at ORDER3_POINTS_CAP);
     disagreement raises QuadratureConvergenceError.
     """
-    _, g3 = _series_orders(params, grid, np.array([t], dtype=float), 3)
-    value = complex(0.0, g3[0])
+    value = gamma_series(params, grid, [t], 3)[0].gamma3
     if quadrature_points is not None:
         _validate_order3(params, grid, t, value, quadrature_points)
     return value
@@ -142,14 +154,8 @@ def gamma_series(
     if max_order not in (1, 2, 3):
         raise ValueError(f"max_order must be 1, 2 or 3, got {max_order}")
     ts = checked_times(times)
-
-    g1 = 2.0 * params.g * c1(params, grid).value.real * ts
-    g2, g3 = _series_orders(params, grid, ts, max_order)
-    out = []
-    for t, a, b, c in zip(ts, g1, g2, g3):
-        terms = (complex(0.0, a), complex(b, 0.0), complex(0.0, c))
-        out.append(CumulantTerms(float(t), *terms, sum(terms)))
-    return out
+    return scaled_terms(params.g, c1(params, grid).value.real, ts,
+                        mode_sums(params, grid, ts, max_order), max_order)
 
 
 @lru_cache(maxsize=32)

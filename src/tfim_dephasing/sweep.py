@@ -12,6 +12,11 @@ plus a ``summary.csv`` with the first time |Gamma3| exceeds |Gamma2| (empty if
 none in range) and the maximum |exact - series| over the grid.  Numbers are
 written with 17 significant digits (round-trip safe), LF line endings; serial
 reruns of the same configuration are byte-identical.
+
+The unit of work is one lambda with its couplings: the k-grid and the g-free
+series mode sums are computed once per lambda and scaled for each g, and the
+exact route runs once per g.  ``check`` reads the curve files back and rejects
+any whose ``t`` column is not the configured time grid.
 """
 
 import math
@@ -23,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlators import c1, c2_irreducible, c3_irreducible
-from .cumulants import check_quadrature_points, gamma_order3, gamma_series
+from .cumulants import check_quadrature_points, gamma_order3, mode_sums, scaled_terms
+from .cumulants import gamma_series  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .exact import gamma_exact
 from .model import ModelParams, make_kgrid
 
@@ -150,36 +156,33 @@ def curve_filename(lam: float, g: float) -> str:
     return f"curve_lambda{lam:g}_g{g:g}.csv"
 
 
-def curve_csv(config: SweepConfig, lam: float, g: float) -> tuple[str, tuple]:
-    """One point's curve file content and its summary row of values."""
-    params = ModelParams(N=config.N, lam=lam, g=g)
+def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
+    """Each coupling's curve file content and summary row of values at field lam: the
+    k-grid, c1 and g-free series mode sums are computed once, the exact route per g."""
+    params = ModelParams(N=config.N, lam=lam, g=0.0)
     grid = make_kgrid(params)
     ts = np.linspace(0.0, config.t_max, config.t_steps)
-    terms = gamma_series(params, grid, ts, max_order=config.orders)
-    exact = gamma_exact(params, grid, ts).gamma if config.emit_exact else None
-
-    rows = []
-    t_star = None
-    max_diff = None
-    for i, tm in enumerate(terms):
-        ex = exact[i] if exact is not None else complex(math.nan, math.nan)
-        abs_g2, abs_g3 = abs(tm.gamma2), abs(tm.gamma3)
-        if t_star is None and abs_g3 > abs_g2:
-            t_star = tm.t
-        if exact is not None:
-            diff = abs(ex - tm.truncated_sum)
-            max_diff = diff if max_diff is None else max(max_diff, diff)
-        rows.append((
-            tm.t,
-            tm.gamma1.real, tm.gamma1.imag,
-            tm.gamma2.real, tm.gamma2.imag,
-            tm.gamma3.real, tm.gamma3.imag,
-            tm.truncated_sum.real, tm.truncated_sum.imag,
-            ex.real, ex.imag,
-            abs_g2, abs_g3,
-        ))
+    sums = mode_sums(params, grid, ts, config.orders)
+    c1_value = c1(params, grid).value.real
     near_critical = int(abs(1.0 - lam) <= NEAR_CRITICAL_WINDOW)
-    return _csv(CURVE_HEADER, rows), (lam, g, t_star, max_diff, near_critical)
+    out = []
+    for g in gs:
+        terms = scaled_terms(g, c1_value, ts, sums, config.orders)
+        exact = (gamma_exact(ModelParams(N=config.N, lam=lam, g=g), grid, ts).gamma
+                 if config.emit_exact else None)
+        rows, t_star, max_diff = [], None, None
+        for i, tm in enumerate(terms):
+            ex = exact[i] if exact is not None else complex(math.nan, math.nan)
+            abs_g2, abs_g3 = abs(tm.gamma2), abs(tm.gamma3)
+            if t_star is None and abs_g3 > abs_g2:
+                t_star = tm.t
+            if exact is not None:
+                diff = abs(ex - tm.truncated_sum)
+                max_diff = diff if max_diff is None else max(max_diff, diff)
+            pairs = (tm.gamma1, tm.gamma2, tm.gamma3, tm.truncated_sum, ex)  # re_*, im_* columns
+            rows.append((tm.t, *(x for z in pairs for x in (z.real, z.imag)), abs_g2, abs_g3))
+        out.append((_csv(CURVE_HEADER, rows), (lam, g, t_star, max_diff, near_critical)))
+    return out
 
 
 def _write_text(path: Path, text: str):
@@ -193,12 +196,16 @@ def _write_text(path: Path, text: str):
         tmp.unlink(missing_ok=True)
 
 
-def _sweep_point_task(payload):
-    config, lam, g = payload
-    content, summary = curve_csv(config, lam, g)
-    path = Path(config.outputs) / curve_filename(lam, g)
-    _write_text(path, content)
-    return path, summary
+def _sweep_task(payload):
+    """Compute and write the curve files of one lambda and some of its couplings;
+    returns (path, summary row) per g."""
+    config, lam, gs = payload
+    results = []
+    for g, (content, summary) in zip(gs, curve_csvs(config, lam, gs)):
+        path = Path(config.outputs) / curve_filename(lam, g)
+        _write_text(path, content)
+        results.append((path, summary))
+    return results
 
 
 def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
@@ -236,18 +243,25 @@ def run_sweep(config: SweepConfig) -> list[Path]:
     points = [(lam, g) for lam in config.lambdas for g in config.gs]
     names = [curve_filename(lam, g) for lam, g in points]
     unique = dict(zip(names, points))
-    payloads = [(config, *point) for point in unique.values()]
+    # one task per distinct lambda (keyed as in the file names: 0 and -0 stay
+    # apart); with fewer lambdas than jobs, ceil(jobs / #lambda) strided parts
+    by_lam = {}
+    for lam, g in unique.values():
+        by_lam.setdefault(f"{lam:g}", (lam, []))[1].append(g)
+    parts = -(-config.jobs // len(by_lam))
+    payloads = [(config, lam, gs[j::parts]) for lam, gs in by_lam.values()
+                for j in range(min(parts, len(gs)))]
     if config.jobs > 1:
         # under fork the pool starts every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(payloads))) as pool:
-            results = list(pool.map(_sweep_point_task, payloads))
+            results = list(pool.map(_sweep_task, payloads))
     else:
-        results = [_sweep_point_task(p) for p in payloads]
-    summaries = dict(zip(unique, (summary for _, summary in results)))
+        results = [_sweep_task(p) for p in payloads]
+    done = {path.name: (path, summary) for result in results for path, summary in result}
 
     summary_path = outdir / "summary.csv"
-    _write_text(summary_path, _csv(SUMMARY_HEADER, [summaries[n] for n in names]))
-    return [path for path, _ in results] + [summary_path]
+    _write_text(summary_path, _csv(SUMMARY_HEADER, [done[n][1] for n in names]))
+    return [done[n][0] for n in unique] + [summary_path]
 
 
 def _validate_order3_once(config: SweepConfig):
@@ -291,12 +305,18 @@ class FigureCheckReport:
         return "\n".join(lines)
 
 
-def _read_curve(path: Path) -> dict[str, np.ndarray]:
+def _read_curve(path: Path, ts: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns of one curve file; ValueError unless its rows are at the times ts."""
     lines = path.read_text().splitlines()
     if not lines or lines[0] != CURVE_HEADER:
         raise ValueError(f"{path}: unexpected or missing curve header")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no data rows")
     cols = CURVE_HEADER.split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    if not np.array_equal(data[:, 0], ts):
+        raise ValueError(f"{path}: times differ from t_max={ts[-1]:g}, t_steps={ts.size}; "
+                         "run the sweep with the same grid")
     return {name: data[:, i] for i, name in enumerate(cols)}
 
 
@@ -316,13 +336,14 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
         |Gamma3(t)| is non-decreasing over the sampled window.
     """
     outdir = Path(config.outputs)
+    ts = np.linspace(0.0, config.t_max, config.t_steps)
     curves = {}
     for lam in config.lambdas:
         for g in config.gs:
             path = outdir / curve_filename(lam, g)
             if not path.exists():
                 raise ValueError(f"missing sweep output {path}; run the sweep first")
-            curves[(lam, g)] = _read_curve(path)
+            curves[(lam, g)] = _read_curve(path, ts)
 
     results = []
 

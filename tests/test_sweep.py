@@ -221,13 +221,13 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
 
 def test_run_sweep_repeated_point_computed_once(tmp_path, monkeypatch):
     calls = []
-    curve_csv = sweep_module.curve_csv
+    curve_csvs = sweep_module.curve_csvs
 
-    def counting_curve_csv(config, lam, g):
-        calls.append((lam, g))
-        return curve_csv(config, lam, g)
+    def counting_curve_csvs(config, lam, gs):
+        calls.extend((lam, g) for g in gs)
+        return curve_csvs(config, lam, gs)
 
-    monkeypatch.setattr(sweep_module, "curve_csv", counting_curve_csv)
+    monkeypatch.setattr(sweep_module, "curve_csvs", counting_curve_csvs)
     lambdas = (0.5, 1.3, 0.5)
     paths = run_sweep(small_config(tmp_path / "s", lambdas=lambdas))
     assert calls == [(0.5, 0.0), (0.5, 0.5), (1.3, 0.0), (1.3, 0.5)]
@@ -238,6 +238,54 @@ def test_run_sweep_repeated_point_computed_once(tmp_path, monkeypatch):
     parallel = run_sweep(small_config(tmp_path / "p", lambdas=lambdas, jobs=2))
     for ps, pp in zip(paths, parallel, strict=True):
         assert ps.read_bytes() == pp.read_bytes()
+
+
+def test_run_sweep_computes_mode_sums_once_per_lambda(tmp_path, monkeypatch):
+    calls = []
+    mode_sums = cumulants.mode_sums
+
+    def counting_mode_sums(params, *args):
+        calls.append(params.lam)
+        return mode_sums(params, *args)
+
+    for module in (cumulants, sweep_module):
+        monkeypatch.setattr(module, "mode_sums", counting_mode_sums)
+    run_sweep(small_config(tmp_path, lambdas=(0.5, 1.3), gs=(0.0, 0.5, 1.0)))
+    assert calls == [0.5, 1.3]
+
+
+def test_run_sweep_bytes_do_not_depend_on_jobs(tmp_path):
+    """g = 0 writes signed zeros and g = -0.5 negative odd orders; every task split
+    (one task per lambda at jobs 1 and 2, two strided parts per lambda at jobs 3)
+    writes the same bytes."""
+    runs = [run_sweep(small_config(tmp_path / f"j{jobs}", lambdas=(0.5, 1.0),
+                                   gs=(0.0, -0.5, 1.0), jobs=jobs))
+            for jobs in (1, 2, 3)]
+    assert len(runs[0]) == 7
+    assert [p.name for p in runs[0]] == [p.name for p in runs[2]]
+    for paths in zip(*runs, strict=True):
+        assert len({p.read_bytes() for p in paths}) == 1
+    rows = read_rows(Path(runs[0][0]))
+    assert any(math.copysign(1.0, r["re_g2"]) < 0 and r["re_g2"] == 0.0 for r in rows)
+
+
+def test_run_sweep_matches_gamma_series_bit_for_bit(tmp_path):
+    gs = (0.0, -0.5, 1e-3, 2.5)
+    config = small_config(tmp_path, lambdas=(0.5, 1.0), gs=gs, emit_exact=False)
+    run_sweep(config)
+    ts = np.linspace(0.0, config.t_max, config.t_steps)
+    for lam in config.lambdas:
+        for g in gs:
+            params = ModelParams(N=config.N, lam=lam, g=g)
+            terms = cumulants.gamma_series(params, make_kgrid(params), ts)
+            rows = read_rows(Path(config.outputs) / curve_filename(lam, g))
+            for col, value in (("re_g2", lambda tm: tm.gamma2.real),
+                               ("im_g3", lambda tm: tm.gamma3.imag),
+                               ("re_series", lambda tm: tm.truncated_sum.real),
+                               ("im_series", lambda tm: tm.truncated_sum.imag)):
+                written = np.array([r[col] for r in rows])
+                expected = np.array([value(tm) for tm in terms])
+                assert np.array_equal(written.view(np.uint64), expected.view(np.uint64)), col
 
 
 def test_run_sweep_pool_capped_at_unique_points(tmp_path, monkeypatch):
@@ -263,6 +311,33 @@ def test_run_sweep_pool_capped_at_unique_points(tmp_path, monkeypatch):
     paths = run_sweep(small_config(tmp_path, lambdas=(0.5, 0.5), jobs=64))
     assert requested == [2]
     assert len(paths) == 3
+
+
+def test_run_sweep_splits_one_lambda_over_jobs(tmp_path, monkeypatch):
+    """With fewer distinct lambdas than jobs, each lambda's couplings are split
+    into ceil(jobs / #lambda) strided tasks, and the pool gets one worker per task."""
+    requested, tasks = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            tasks.extend((lam, tuple(gs)) for _, lam, gs in items)
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", SerialPool)
+    paths = run_sweep(small_config(tmp_path, gs=(0.25, 0.5, 1.0), jobs=2))
+    assert requested == [2]
+    assert tasks == [(0.5, (0.25, 1.0)), (0.5, (0.5,))]
+    assert [p.name for p in paths[:-1]] == [curve_filename(0.5, g) for g in (0.25, 0.5, 1.0)]
 
 
 def test_run_sweep_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -510,3 +585,29 @@ def test_check_figures_classifies_negative_couplings_by_magnitude(tmp_path):
     assert ("weak-coupling ordering", "lambda=0.97, g=-0.01") in verdicts
     for claim in ("strong-coupling crossing", "near-critical monotone growth"):
         assert (claim, "lambda=0.97, g=-1") in verdicts
+
+
+def test_check_rejects_curves_from_another_time_grid(tmp_path, capsys):
+    out = tmp_path / "grid"
+    base = ["--lambdas", "0.5", "--gs", "0.01,1", "--N", "20", "--out", str(out)]
+    assert main(["sweep", *base, "--t-steps", "4", "--t-max", "5"]) == 0
+    for grid in (["--t-steps", "64", "--t-max", "50"], ["--t-steps", "4", "--t-max", "4"],
+                 ["--t-steps", "5", "--t-max", "5"]):
+        assert main(["check", *base, *grid]) == 1
+        err = capsys.readouterr().err
+        assert curve_filename(0.5, 0.01) in err and "times differ" in err
+    assert main(["check", *base, "--t-steps", "4", "--t-max", "5"]) == 3
+    capsys.readouterr()
+
+
+def test_check_rejects_curve_without_rows(tmp_path, capsys):
+    config = small_config(tmp_path, gs=(0.01,))
+    run_sweep(config)
+    path = Path(config.outputs) / curve_filename(0.5, 0.01)
+    path.write_text(CURVE_HEADER + "\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        check_figures(config)
+    flags = ["--lambdas", "0.5", "--gs", "0.01", "--N", "16", "--t-max", "2",
+             "--t-steps", "9", "--out", config.outputs]
+    assert main(["check", *flags]) == 1
+    assert f"{path}: no data rows" in capsys.readouterr().err
