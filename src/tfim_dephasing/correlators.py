@@ -1,7 +1,8 @@
 """Irreducible bath correlation functions entering the cumulant series.
 
 Conventions:
-  - sums run over the full +/-k grid (N modes);
+  - sums run over all N modes as twice the k > 0 half-grid sum, and every
+    cosine sum is the one kernel ``mode_cos_sum``;
   - the second order depends on the time difference only and is evaluated
     with |t1 - t2| so that evenness holds exactly in floating point;
   - third-order step brackets are resolved at coincident times by the
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import KGrid, ModelParams
+from .model import KGrid, ModelParams, blocks
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,32 @@ def occupation(beta: float, eps: np.ndarray) -> np.ndarray:
         return 1.0 / (np.exp(beta * eps) + 1.0)
 
 
+def mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs) -> np.ndarray:
+    """sum_k weights_k * cos(2 eps_k d) over all N modes for every d in diffs;
+    weights on the k > 0 half, doubled.  Each row is reduced by its own sum,
+    not a matrix product, whose last bits would depend on the rows beside it."""
+    two_eps = 2.0 * grid.eps_pos
+    flat = np.asarray(diffs, dtype=float).reshape(-1)
+    out = np.empty_like(flat)
+    for i in blocks(flat.size, two_eps.size):
+        x = np.multiply.outer(flat[i], two_eps)
+        np.cos(x, out=x)
+        x *= weights
+        out[i] = x.sum(axis=1)
+    return 2.0 * out.reshape(np.shape(diffs))
+
+
 def c1(params: ModelParams, grid: KGrid) -> CorrelatorValue:
     """First-order correlator: sum_k (cos 2theta_k - 2 n_k).  Time independent."""
-    n = occupation(params.beta, grid.eps)
-    value = float(np.sum(grid.cos2theta - 2.0 * n))
+    n = occupation(params.beta, grid.eps_pos)
+    value = 2.0 * float(np.sum(grid.cos2theta_pos - 2.0 * n))
     return CorrelatorValue(complex(value, 0.0), 1, ())
+
+
+def c2_values(params: ModelParams, grid: KGrid, t1, t2) -> np.ndarray:
+    """``c2_irreducible`` at broadcast time arrays t1, t2."""
+    w = (occupation(params.beta, grid.eps_pos) + 1.0) ** 2
+    return mode_cos_sum(grid, w, np.abs(np.subtract(t1, t2)))
 
 
 def c2_irreducible(params: ModelParams, grid: KGrid, t1: float, t2: float) -> CorrelatorValue:
@@ -47,9 +69,7 @@ def c2_irreducible(params: ModelParams, grid: KGrid, t1: float, t2: float) -> Co
 
     Real, stationary (depends on t1 - t2 only) and even in the difference.
     """
-    d = abs(t1 - t2)
-    w = (occupation(params.beta, grid.eps) + 1.0) ** 2
-    value = float(np.sum(w * np.cos(2.0 * grid.eps * d)))
+    value = float(c2_values(params, grid, t1, t2))
     return CorrelatorValue(complex(value, 0.0), 2, (t1, t2))
 
 
@@ -57,6 +77,15 @@ def c2_full(params: ModelParams, grid: KGrid, t1: float, t2: float) -> Correlato
     """Full (reducible) second-order correlator, defined as c1^2 + c2_irreducible."""
     value = c1(params, grid).value ** 2 + c2_irreducible(params, grid, t1, t2).value
     return CorrelatorValue(value, 2, (t1, t2))
+
+
+def c3_values(params: ModelParams, grid: KGrid, t1, t2, t3) -> np.ndarray:
+    """``c3_irreducible`` at broadcast time arrays t1, t2, t3: with s = the sorted
+    times, -(C(s1 - s0) + C(s2 - s0)) for the sin^2(2theta_k)-weighted cosine sum C."""
+    params.require_zero_temperature("c3_irreducible")
+    s = np.sort(np.broadcast_arrays(t1, t2, t3), axis=0)
+    w = grid.sin2theta_pos**2
+    return -(mode_cos_sum(grid, w, s[1] - s[0]) + mode_cos_sum(grid, w, s[2] - s[0]))
 
 
 def c3_irreducible(
@@ -68,22 +97,11 @@ def c3_irreducible(
                            + b12 cos(2 eps_k (t1-t2))
                            + b23 cos(2 eps_k (t2-t3)) ]
 
-    with step-function brackets b_xy = 1 - theta(.)theta(.) - theta(.)theta(.).
-    For distinct times exactly one bracket vanishes: the one whose cosine does
-    not involve the earliest argument.  Coincident times take the common limit
-    of the six strict orderings, so the value is computed from the two pairs
-    containing the (first) minimal argument.
+    with step-function brackets b_xy = 1 - theta(.)theta(.) - theta(.)theta(.),
+    of which only the pairs containing the earliest argument survive.
     """
-    params.require_zero_temperature("c3_irreducible")
-    ts = (t1, t2, t3)
-    m = ts.index(min(ts))
-    a, b = (i for i in range(3) if i != m)
-    s2sq = grid.sin2theta**2
-    value = -float(
-        np.sum(s2sq * (np.cos(2.0 * grid.eps * (ts[a] - ts[m]))
-                       + np.cos(2.0 * grid.eps * (ts[b] - ts[m]))))
-    )
-    return CorrelatorValue(complex(value, 0.0), 3, ts)
+    value = float(c3_values(params, grid, t1, t2, t3))
+    return CorrelatorValue(complex(value, 0.0), 3, (t1, t2, t3))
 
 
 def c3_part(
@@ -96,11 +114,8 @@ def c3_part(
     independent of the coupling g.
     """
     params.require_zero_temperature("c3_part")
-    s2sq = grid.sin2theta**2
-
-    def S(d):
-        return complex(np.sum(s2sq * np.exp(-2j * grid.eps * d)))
-
+    d = np.multiply.outer([t1 - t2, t2 - t3, t1 - t3], grid.eps_pos)
+    s12, s23, s13 = 2.0 * (grid.sin2theta_pos**2 * np.exp(-2j * d)).sum(axis=1)
     one = c1(params, grid).value
-    value = one**3 + one * S(t1 - t2) + one * S(t2 - t3) - 2.0 * S(t1 - t3)
+    value = one**3 + one * s12 + one * s23 - 2.0 * s13
     return CorrelatorValue(value, 3, (t1, t2, t3))

@@ -26,7 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .correlators import c1, occupation
+from .correlators import c1, c2_values, mode_cos_sum, occupation
 from .errors import QuadratureConvergenceError
 from .model import KGrid, ModelParams, blocks, checked_times, mode_chunks
 
@@ -164,25 +164,12 @@ def _leggauss01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """sum_k weights_k * cos(2 eps_k d) for every d in diffs; weights on k > 0, doubled."""
-    eps = grid.eps_pos
-    flat = diffs.reshape(-1)
-    out = np.empty_like(flat)
-    for i in blocks(flat.size, eps.size):
-        out[i] = np.cos(2.0 * np.multiply.outer(flat[i], eps)) @ weights
-    return 2.0 * out.reshape(diffs.shape)
-
-
 def gamma_order2_quadrature(
     params: ModelParams, grid: KGrid, t: float, points: int = 64
 ) -> complex:
     """Reference value of the second order by tensor Gauss-Legendre on [0,t]^2."""
-    x01, w01 = _leggauss01(points)
-    x = t * x01
-    w = t * w01
-    weights = (occupation(params.beta, grid.eps_pos) + 1.0) ** 2
-    table = _mode_cos_sum(grid, weights, x[:, None] - x[None, :])
+    x, w = (t * v for v in _leggauss01(points))
+    table = c2_values(params, grid, x[:, None], x[None, :])
     integral = float(np.einsum("i,j,ij->", w, w, table))
     return complex(-2.0 * params.g**2 * integral, 0.0)
 
@@ -229,13 +216,13 @@ def gamma_order3_quadrature(
         # every cell puts the nodes (ta, tb, tc) on (T1, T2, T3) in its own
         # order and cos is even, so one set of pair sums serves all six cells;
         # ta - tb does not depend on the third axis
-        s_ab = _mode_cos_sum(grid, s2sq, ta - tb)
+        s_ab = mode_cos_sum(grid, s2sq, ta - tb)
         integral = 0.0
         for i in blocks(points, points**2):
             nodes = (ta[i], tb[i], tb[i] * u)
             # the pair sum of nodes p and q is pairs[p + q - 1]
-            pairs = (s_ab[i], _mode_cos_sum(grid, s2sq, nodes[0] - nodes[2]),
-                     _mode_cos_sum(grid, s2sq, nodes[1] - nodes[2]))
+            pairs = (s_ab[i], mode_cos_sum(grid, s2sq, nodes[0] - nodes[2]),
+                     mode_cos_sum(grid, s2sq, nodes[1] - nodes[2]))
             wt = wu[i, None, None] * wu[None, :, None] * wu * (t * nodes[0] * nodes[1])
             for perm in permutations(range(3)):
                 p1, p2, p3 = (perm.index(m) for m in range(3))  # the nodes on T1, T2, T3
@@ -244,10 +231,8 @@ def gamma_order3_quadrature(
                          + b23 * pairs[p2 + p3 - 1])
                 integral += float(np.sum(wt * kern))
     else:
-        x01, w01 = _leggauss01(points)
-        x = t * x01
-        w = t * w01
-        table = _mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
+        x, w = (t * v for v in _leggauss01(points))
+        table = mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
         j, k = np.arange(points)[:, None], np.arange(points)
         integral = 0.0
         for slab in blocks(points, points**2):

@@ -131,57 +131,28 @@ class KMode:
 
 @dataclass(frozen=True, eq=False)
 class KGrid:
-    """Full +/-k momentum grid with per-mode arrays, sorted ascending in k.
+    """The k > 0 half of the momentum grid with per-mode arrays, ascending in k.
 
-    The negative-k half mirrors the positive half exactly (eps and
-    cos2theta are even in k, sin2theta is odd), so pair symmetry holds to
-    the last bit.  Correlator sums run over the full N-mode grid; the
-    decoherence sums and the exact per-mode product run over the k > 0 half.
+    eps and cos2theta are even in k and sin2theta is odd but enters every sum
+    squared, so a sum over all N modes is twice the sum over this half.  The
+    arrays keep the ``_pos`` suffix so that a sum written for the full grid
+    fails instead of silently halving.
     """
 
     N: int
     lam: float
-    k: np.ndarray = field(repr=False)
-    eps: np.ndarray = field(repr=False)
-    cos2theta: np.ndarray = field(repr=False)
-    sin2theta: np.ndarray = field(repr=False)
-
-    @property
-    def k_pos(self) -> np.ndarray:
-        return self.k[self.N // 2:]
-
-    @property
-    def eps_pos(self) -> np.ndarray:
-        return self.eps[self.N // 2:]
-
-    @property
-    def sin2theta_pos(self) -> np.ndarray:
-        return self.sin2theta[self.N // 2:]
-
-    def _modes_from(self, lo: int) -> tuple[KMode, ...]:
-        cols = (self.k, self.eps, self.cos2theta, self.sin2theta)
-        return tuple(KMode(*map(float, row)) for row in zip(*(c[lo:] for c in cols)))
-
-    @property
-    def modes(self) -> tuple[KMode, ...]:
-        return self._modes_from(0)
+    k_pos: np.ndarray = field(repr=False)
+    eps_pos: np.ndarray = field(repr=False)
+    cos2theta_pos: np.ndarray = field(repr=False)
+    sin2theta_pos: np.ndarray = field(repr=False)
 
     @property
     def positive_modes(self) -> tuple[KMode, ...]:
-        return self._modes_from(self.N // 2)
+        cols = (self.k_pos, self.eps_pos, self.cos2theta_pos, self.sin2theta_pos)
+        return tuple(KMode(*map(float, row)) for row in zip(*cols))
 
 
 def make_kgrid(params: ModelParams) -> KGrid:
-    """Build the N-mode grid at k = +/-(2l-1)*pi/N with precomputed mode data."""
-    n_half = params.N // 2
-    l = np.arange(1, n_half + 1)
-    k_pos = (2 * l - 1) * np.pi / params.N
-    eps_pos, cos2_pos, sin2_pos = _mode_data(k_pos, params.lam)
-    return KGrid(
-        N=params.N,
-        lam=params.lam,
-        k=np.concatenate([-k_pos[::-1], k_pos]),
-        eps=np.concatenate([eps_pos[::-1], eps_pos]),
-        cos2theta=np.concatenate([cos2_pos[::-1], cos2_pos]),
-        sin2theta=np.concatenate([-sin2_pos[::-1], sin2_pos]),
-    )
+    """Build the k > 0 half grid k = (2l-1)*pi/N, l = 1..N/2, with its mode data."""
+    k_pos = (2 * np.arange(1, params.N // 2 + 1) - 1) * np.pi / params.N
+    return KGrid(params.N, params.lam, k_pos, *_mode_data(k_pos, params.lam))

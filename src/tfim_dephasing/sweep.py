@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlators import c1, c2_irreducible, c3_irreducible
+from .correlators import c1, c2_values, c3_values
 from .cumulants import check_quadrature_points, gamma_order3, mode_sums, scaled_terms
 from .cumulants import gamma_series  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .exact import gamma_exact
@@ -214,12 +214,9 @@ def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
     for lam in dict.fromkeys(config.lambdas):
         params = ModelParams(N=config.N, lam=lam, g=0.0)
         grid = make_kgrid(params)
-        c1val = c1(params, grid).value.real
-        rows = [(t,
-                 c1val,
-                 c2_irreducible(params, grid, float(t), 0.0).value.real,
-                 c3_irreducible(params, grid, float(t), float(t) / 2.0, 0.0).value.real)
-                for t in ts]
+        c1s = np.full_like(ts, c1(params, grid).value.real)
+        rows = zip(ts, c1s, c2_values(params, grid, ts, 0.0),
+                   c3_values(params, grid, ts, ts / 2.0, 0.0))
         path = Path(config.outputs) / f"correlators_lambda{lam:g}.csv"
         _write_text(path, _csv(CORRELATOR_HEADER, rows))
         written.append(path)

@@ -169,7 +169,7 @@ def test_criterion_6_parity_structure():
     )
 
 
-def test_criterion_7_correlator_properties():
+def test_criterion_7_correlator_properties(mirrored):
     from itertools import permutations
 
     params = ModelParams(N=20, lam=0.8, g=0.0)
@@ -196,7 +196,7 @@ def test_criterion_7_correlator_properties():
     )
     equal_time_is_n = c2_irreducible(params, grid, 1.1, 1.1).value == complex(20.0)
 
-    limit = -2.0 * float(np.sum(grid.sin2theta**2))
+    limit = -2.0 * float(np.sum(mirrored(grid).sin2theta**2))
     cont_worst = 0.0
     converging = True
     for perm in permutations((0.0, 1.0, 2.0)):

@@ -12,6 +12,7 @@ from tfim_dephasing import (
     c3_irreducible,
     c3_part,
 )
+from tfim_dephasing.correlators import mode_cos_sum
 
 # frozen by independent per-mode summation (see in-test oracles below)
 C1_LAM2_N4 = -3.689786838393518
@@ -57,10 +58,10 @@ def test_c1_finite_beta(model):
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.5])
-def test_c1_c2_beta_limit(model, lam):
+def test_c1_c2_beta_limit(model, mirrored, lam):
     cold, grid = model(32, lam, beta=1e4)
     zero, _ = model(32, lam)
-    bound = 32 * math.exp(-1e4 * grid.eps.min()) + 1e-13
+    bound = 32 * math.exp(-1e4 * mirrored(grid).eps.min()) + 1e-13
     assert abs(c1(cold, grid).value - c1(zero, grid).value) <= bound
     assert abs(
         c2_irreducible(cold, grid, 1.3, 0.4).value - c2_irreducible(zero, grid, 1.3, 0.4).value
@@ -111,6 +112,20 @@ def test_c2_evenness_exact(model):
         c2_irreducible(params, grid, 1.9, 0.3).value
         == c2_irreducible(params, grid, 0.3, 1.9).value
     )
+
+
+@pytest.mark.parametrize("N", [8, 32, 20000])
+def test_mode_cos_sum_rows_are_independent(model, N):
+    # each value depends on its own d only: a batched call equals the
+    # one-element calls bit for bit, across block boundaries too
+    _, grid = model(N, 0.7)
+    weights = grid.sin2theta_pos**2
+    diffs = np.concatenate([[0.0, -1.3, 1.3], np.random.default_rng(N).uniform(-9, 9, 200)])
+    batched = mode_cos_sum(grid, weights, diffs)
+    assert batched[1] == batched[2]
+    for d, value in zip(diffs, batched):
+        assert mode_cos_sum(grid, weights, np.array([d]))[0] == value
+        assert mode_cos_sum(grid, weights, d) == value
 
 
 def test_c2_bound(model):
@@ -175,12 +190,13 @@ def _c3_bracket_oracle(N, lam, t1, t2, t3):
     return total
 
 
-def test_c3_strict_ordering_brackets(model):
+def test_c3_strict_ordering_brackets(model, mirrored):
     params, grid = model(8, 0.5)
+    full = mirrored(grid)
     t1, t2, t3 = 2.0, 1.1, 0.4
-    s2sq = grid.sin2theta**2
+    s2sq = full.sin2theta**2
     expect = -np.sum(
-        s2sq * (np.cos(2 * grid.eps * (t1 - t3)) + np.cos(2 * grid.eps * (t2 - t3)))
+        s2sq * (np.cos(2 * full.eps * (t1 - t3)) + np.cos(2 * full.eps * (t2 - t3)))
     )
     got = c3_irreducible(params, grid, t1, t2, t3).value.real
     assert got == pytest.approx(expect, rel=1e-14)
@@ -198,10 +214,10 @@ def test_c3_matches_literal_brackets_random(model):
         assert got == pytest.approx(_c3_bracket_oracle(10, 1.3, t1, t2, t3), rel=1e-12)
 
 
-def test_c3_coincident_times_limit(model):
+def test_c3_coincident_times_limit(model, mirrored):
     params, grid = model(8, 0.7)
     t = 1.2
-    expect = -2.0 * float(np.sum(grid.sin2theta**2))
+    expect = -2.0 * float(np.sum(mirrored(grid).sin2theta**2))
     assert c3_irreducible(params, grid, t, t, t).value.real == pytest.approx(expect, rel=1e-14)
     # delta-sequence: every strict ordering converges (O(delta^2)) to the value
     for perm in permutations((0.0, 1.0, 2.0)):
@@ -213,9 +229,9 @@ def test_c3_coincident_times_limit(model):
         assert gaps[-1] < 1e-9 * max(abs(expect), 1.0)
 
 
-def test_c3_lambda0_example(model):
+def test_c3_lambda0_example(model, mirrored):
     params, grid = model(16, 0.0)
-    sin2_sum = float(np.sum(np.sin(grid.k) ** 2))
+    sin2_sum = float(np.sum(np.sin(mirrored(grid).k) ** 2))
     assert sin2_sum == pytest.approx(16 / 2, rel=1e-13)
     t1, t2, t3 = 1.5, 0.9, 0.2
     expect = -sin2_sum * (math.cos(4 * (t1 - t3)) + math.cos(4 * (t2 - t3)))
@@ -237,9 +253,9 @@ def test_c3_permutation_symmetry(model):
         assert (max(vals) - min(vals)) <= 1e-12 * scale
 
 
-def test_c3_bound(model):
+def test_c3_bound(model, mirrored):
     params, grid = model(20, 1.5)
-    cap = 3.0 * float(np.sum(grid.sin2theta**2)) + 1e-12
+    cap = 3.0 * float(np.sum(mirrored(grid).sin2theta**2)) + 1e-12
     assert cap <= 3 * 20 + 1e-9
     rng = np.random.default_rng(23)
     for _ in range(20):

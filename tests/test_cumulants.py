@@ -18,6 +18,7 @@ from tfim_dephasing import (
     gamma_order3_quadrature,
     gamma_series,
 )
+from tfim_dephasing.correlators import mode_cos_sum
 
 GAMMA3_LAM05_N8_G1_T1 = 1.9232600345545494j
 
@@ -77,12 +78,13 @@ def test_gamma2_nonpositive(model):
         assert val.imag == 0.0 and val.real <= 0.0
 
 
-def test_gamma2_finite_beta(model):
+def test_gamma2_finite_beta(model, mirrored):
     params, grid = model(8, 0.8, g=0.5, beta=1.3)
+    full = mirrored(grid)
     t = 1.4
-    occ = 1.0 / (np.exp(1.3 * grid.eps) + 1.0)
+    occ = 1.0 / (np.exp(1.3 * full.eps) + 1.0)
     expect = -params.g**2 * float(
-        np.sum((occ + 1.0) ** 2 * (1 - np.cos(2 * grid.eps * t)) / grid.eps**2)
+        np.sum((occ + 1.0) ** 2 * (1 - np.cos(2 * full.eps * t)) / full.eps**2)
     )
     assert gamma_order2(params, grid, t).real == pytest.approx(expect, rel=1e-13)
     quad = gamma_order2_quadrature(params, grid, t, points=64).real
@@ -157,9 +159,9 @@ def six_cell_reference(params, grid, t, points):
         T1, T2, T3 = coords
         b13, b12, b23 = cumulants._order3_kernel_brackets(T1, T2, T3)
         kern = -(
-            b13 * cumulants._mode_cos_sum(grid, s2sq, T1 - T3)
-            + b12 * cumulants._mode_cos_sum(grid, s2sq, T1 - T2)
-            + b23 * cumulants._mode_cos_sum(grid, s2sq, T2 - T3)
+            b13 * mode_cos_sum(grid, s2sq, T1 - T3)
+            + b12 * mode_cos_sum(grid, s2sq, T1 - T2)
+            + b23 * mode_cos_sum(grid, s2sq, T2 - T3)
         )
         integral += float(np.sum(wt * kern))
     return complex(0.0, -(4.0 / 3.0) * params.g**3 * integral)
@@ -206,7 +208,7 @@ def whole_cube_reference(params, grid, t, points):
     x01, w01 = cumulants._leggauss01(points)
     x = t * x01
     w = t * w01
-    table = cumulants._mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
+    table = mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
     n = points
     idx = np.indices((n, n, n))
     stacked = np.stack(np.meshgrid(x, x, x, indexing="ij"))
@@ -389,8 +391,8 @@ def test_parity_structure_random_draws():
         assert g2.real <= 0.0
 
 
-def test_gamma2_lower_bound(model):
+def test_gamma2_lower_bound(model, mirrored):
     params, grid = model(14, 0.8, g=1.2)
-    floor = -2 * params.g**2 * float(np.sum(1.0 / grid.eps**2))
+    floor = -2 * params.g**2 * float(np.sum(1.0 / mirrored(grid).eps**2))
     for t in np.linspace(0, 10, 23):
         assert gamma_order2(params, grid, float(t)).real >= floor - 1e-12

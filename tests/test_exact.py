@@ -493,7 +493,7 @@ def _taylor_in_g(grid, t, rho=0.1, points=64):
 
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 @pytest.mark.parametrize("t", [1.0, 3.0])
-def test_series_orders_match_taylor_coefficients_of_exact(model, lam, t):
+def test_series_orders_match_taylor_coefficients_of_exact(model, mirrored, lam, t):
     """Order-by-order oracle: the Taylor coefficients of the exact Gamma in g,
     mapped to the series convention (conjugated, with the coupling part of the
     deterministic phase, 2itg c1, added to order 1), against each series order.
@@ -502,7 +502,7 @@ def test_series_orders_match_taylor_coefficients_of_exact(model, lam, t):
     params, grid = model(100, lam, g=1.0)
     coef = _taylor_in_g(grid, t)
     series = np.conj(coef)
-    series[1] += 2j * t * np.sum(grid.cos2theta)  # the phase's coupling part at g = 1
+    series[1] += 2j * t * np.sum(mirrored(grid).cos2theta)  # the phase's coupling part at g = 1
     assert abs(series[1] - gamma_order1(params, grid, t)) < 1e-12 * abs(series[1])
     order3 = gamma_order3(params, grid, t)
     assert abs(series[3] - order3) < 1e-10 * abs(order3)

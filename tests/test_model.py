@@ -11,13 +11,14 @@ from tfim_dephasing import (
     dispersion,
     make_kgrid,
 )
-from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, blocks, mode_chunks
+from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, _mode_data, blocks, mode_chunks
 
 
-def test_grid_n4_lambda0(model):
+def test_grid_n4_lambda0(model, mirrored):
     _, grid = model(4, 0.0)
-    assert np.allclose(np.sort(grid.k), [-3 * np.pi / 4, -np.pi / 4, np.pi / 4, 3 * np.pi / 4])
-    assert np.all(grid.eps == 2.0)
+    full = mirrored(grid)
+    assert np.allclose(np.sort(full.k), [-3 * np.pi / 4, -np.pi / 4, np.pi / 4, 3 * np.pi / 4])
+    assert np.all(full.eps == 2.0)
 
 
 def test_grid_n4_lambda2_mode(model):
@@ -27,11 +28,12 @@ def test_grid_n4_lambda2_mode(model):
     assert mode.eps == pytest.approx(2.0 * math.sqrt(5.0 + 2.0 * math.sqrt(2.0)), rel=1e-14)
 
 
-def test_grid_critical_gap_n10000(model):
+def test_grid_critical_gap_n10000(model, mirrored):
     _, grid = model(10000, 1.0)
+    full = mirrored(grid)
     gap = 2.0 * math.sqrt(2.0 - 2.0 * math.cos(math.pi / 10000))
-    assert grid.eps.min() > 0.0
-    assert grid.eps.min() == pytest.approx(gap, rel=1e-12)
+    assert full.eps.min() > 0.0
+    assert full.eps.min() == pytest.approx(gap, rel=1e-12)
 
 
 def test_angles_lambda0():
@@ -61,28 +63,31 @@ def test_degenerate_guard():
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.97, 1.0, 2.0])
-def test_angle_normalization(model, lam):
+def test_angle_normalization(model, mirrored, lam):
     _, grid = model(64, lam)
-    assert np.max(np.abs(grid.cos2theta**2 + grid.sin2theta**2 - 1.0)) < 1e-12
+    full = mirrored(grid)
+    assert np.max(np.abs(full.cos2theta**2 + full.sin2theta**2 - 1.0)) < 1e-12
 
 
 def test_even_odd_symmetry_exact(model):
+    # the k > 0 half stands for all N modes: at -k, eps and cos2theta are the
+    # same and sin2theta is negated, to the last bit
     _, grid = model(32, 0.7)
-    assert np.array_equal(grid.eps, grid.eps[::-1])
-    assert np.array_equal(grid.cos2theta, grid.cos2theta[::-1])
-    assert np.array_equal(grid.sin2theta, -grid.sin2theta[::-1])
-    assert np.array_equal(np.sort(grid.k), grid.k)
-    assert np.array_equal(grid.k, -grid.k[::-1])
+    eps, cos2, sin2 = _mode_data(-grid.k_pos, 0.7)
+    assert np.array_equal(eps, grid.eps_pos)
+    assert np.array_equal(cos2, grid.cos2theta_pos)
+    assert np.array_equal(sin2, -grid.sin2theta_pos)
+    assert grid.k_pos[0] > 0.0 and np.all(np.diff(grid.k_pos) > 0.0)
 
 
-def test_flat_dispersion_lambda0(model):
+def test_flat_dispersion_lambda0(model, mirrored):
     _, grid = model(128, 0.0)
-    assert np.max(np.abs(grid.eps - 2.0)) < 1e-15
+    assert np.max(np.abs(mirrored(grid).eps - 2.0)) < 1e-15
 
 
-def test_cos_sum_vanishes_lambda0(model):
+def test_cos_sum_vanishes_lambda0(model, mirrored):
     _, grid = model(1000, 0.0)
-    assert abs(grid.cos2theta.sum()) < 1e-10 * grid.N
+    assert abs(mirrored(grid).cos2theta.sum()) < 1e-10 * grid.N
 
 
 def test_positive_modes(model):
@@ -91,18 +96,15 @@ def test_positive_modes(model):
     assert len(pos) == 5
     ks = [m.k for m in pos]
     assert ks == sorted(ks) and all(k > 0 for k in ks)
-    assert len(grid.modes) == 10
-
-    def bits(modes):
-        return [tuple(float.hex(v) for v in dataclasses.astuple(m)) for m in modes]
-
-    assert bits(pos) == bits(grid.modes[5:])
+    cols = (grid.k_pos, grid.eps_pos, grid.cos2theta_pos, grid.sin2theta_pos)
+    assert [tuple(float.hex(v) for v in dataclasses.astuple(m)) for m in pos] == [
+        tuple(float.hex(float(c[i])) for c in cols) for i in range(5)]
 
 
-def test_dispersion_lower_bound(model):
+def test_dispersion_lower_bound(model, mirrored):
     for lam in (0.3, 1.7):
         _, grid = model(40, lam)
-        assert np.all(grid.eps >= 2 * abs(1 - lam) - 1e-12)
+        assert np.all(mirrored(grid).eps >= 2 * abs(1 - lam) - 1e-12)
 
 
 @pytest.mark.parametrize(

@@ -428,14 +428,16 @@ def test_correlator_dump_mode(tmp_path):
     paths = run_sweep(config)
     names = sorted(p.name for p in paths)
     assert names == ["correlators_lambda0.5.csv", "correlators_lambda1.csv"]
-    lines = paths[0].read_text().splitlines()
-    assert lines[0] == "t,c1,c2_irr,c3_irr"
-    params = ModelParams(N=16, lam=0.5, g=0.0)
-    grid = make_kgrid(params)
-    t, c1_col, c2_col, c3_col = map(float, lines[3].split(","))
-    assert c1_col == c1(params, grid).value.real
-    assert c2_col == c2_irreducible(params, grid, t, 0.0).value.real
-    assert c3_col == c3_irreducible(params, grid, t, t / 2.0, 0.0).value.real
+    for path, lam in zip(paths, (0.5, 1.0)):
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,c1,c2_irr,c3_irr" and len(lines) == 1 + config.t_steps
+        params = ModelParams(N=16, lam=lam, g=0.0)
+        grid = make_kgrid(params)
+        for line in lines[1:]:
+            t, c1_col, c2_col, c3_col = map(float, line.split(","))
+            assert c1_col == c1(params, grid).value.real
+            assert c2_col == c2_irreducible(params, grid, t, 0.0).value.real
+            assert c3_col == c3_irreducible(params, grid, t, t / 2.0, 0.0).value.real
 
 
 def test_run_sweep_order3_validation(tmp_path):
