@@ -12,9 +12,9 @@ with w_k = (n_k + 1)^2 (= 1 at zero temperature).  The third-order form comes
 from splitting the integration cube into its six strict-ordering cells, on
 each of which the step brackets are constants; the summands are even in k, so
 one kernel (``mode_sums``) sums orders 2 and 3 over the k > 0 half grid,
-doubled.  The sums S2, S3 do not depend on g: ``scaled_terms`` forms
-Gamma2 = -2 g^2 S2 and Gamma3 = 2 i g^3 S3 from them, so a sweep computes them
-once per lambda, and ``gamma_series`` is the one-coupling view.  Both closed
+doubled.  The sums S2, S3 do not depend on g, so a sweep computes them once per
+lambda; ``scaled_terms`` forms Gamma1..3 and their sum from them as one (4, T)
+array, and ``gamma_series`` is its one-coupling, per-time view.  Both closed
 forms are checked against direct Gauss-Legendre quadrature of the kernels; for
 the third order the reference rule integrates the literal bracketed kernel,
 cell-by-cell (spectral) or on one tensor grid over the cube (error O(points^-2)).
@@ -46,7 +46,7 @@ class CumulantTerms:
 
 def gamma_order1(params: ModelParams, grid: KGrid, t: float) -> complex:
     """First-order term 2 i g t c1; purely imaginary."""
-    return complex(0.0, 2.0 * params.g * t * c1(params, grid).value.real)
+    return gamma_series(params, grid, [t], 1)[0].gamma1
 
 
 def mode_sums(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
@@ -75,17 +75,15 @@ def mode_sums(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
     return s2, s3
 
 
-def scaled_terms(g: float, c1_value: float, ts, sums, max_order: int) -> list[CumulantTerms]:
-    """The per-order terms at coupling g from ``mode_sums`` and the real c1."""
+def scaled_terms(g: float, c1_value: float, ts, sums, max_order: int) -> np.ndarray:
+    """Gamma1, Gamma2, Gamma3 and their sum (Python's ``sum``, bit for bit) in a (4, T) array."""
     s2, s3 = sums
-    g1 = 2.0 * g * c1_value * ts
-    g2 = -2.0 * g**2 * s2 if max_order >= 2 else s2
-    g3 = 2.0 * g**3 * s3 if max_order >= 3 else s3
-    out = []
-    for t, a, b, c in zip(ts, g1, g2, g3):
-        terms = (complex(0.0, a), complex(b, 0.0), complex(0.0, c))
-        out.append(CumulantTerms(float(t), *terms, sum(terms)))
-    return out
+    terms = np.zeros((4, ts.size), dtype=complex)
+    terms[0].imag = 2.0 * g * c1_value * ts
+    terms[1].real = -2.0 * g**2 * s2 if max_order >= 2 else s2
+    terms[2].imag = 2.0 * g**3 * s3 if max_order >= 3 else s3
+    terms[3] = terms[0] + terms[1] + terms[2]
+    return terms
 
 
 def gamma_order2(params: ModelParams, grid: KGrid, t: float) -> complex:
@@ -154,8 +152,9 @@ def gamma_series(
     if max_order not in (1, 2, 3):
         raise ValueError(f"max_order must be 1, 2 or 3, got {max_order}")
     ts = checked_times(times)
-    return scaled_terms(params.g, c1(params, grid).value.real, ts,
-                        mode_sums(params, grid, ts, max_order), max_order)
+    terms = scaled_terms(params.g, c1(params, grid).value.real, ts,
+                         mode_sums(params, grid, ts, max_order), max_order)
+    return [CumulantTerms(t, *z) for t, *z in zip(ts.tolist(), *terms.tolist())]
 
 
 @lru_cache(maxsize=32)

@@ -169,20 +169,20 @@ def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
     for g in gs:
         terms = scaled_terms(g, c1_value, ts, sums, config.orders)
         exact = (gamma_exact(ModelParams(N=config.N, lam=lam, g=g), grid, ts).gamma
-                 if config.emit_exact else None)
-        rows, t_star, max_diff = [], None, None
-        for i, tm in enumerate(terms):
-            ex = exact[i] if exact is not None else complex(math.nan, math.nan)
-            abs_g2, abs_g3 = abs(tm.gamma2), abs(tm.gamma3)
-            if t_star is None and abs_g3 > abs_g2:
-                t_star = tm.t
-            if exact is not None:
-                diff = abs(ex - tm.truncated_sum)
-                max_diff = diff if max_diff is None else max(max_diff, diff)
-            pairs = (tm.gamma1, tm.gamma2, tm.gamma3, tm.truncated_sum, ex)  # re_*, im_* columns
-            rows.append((tm.t, *(x for z in pairs for x in (z.real, z.imag)), abs_g2, abs_g3))
-        out.append((_csv(CURVE_HEADER, rows), (lam, g, t_star, max_diff, near_critical)))
+                 if config.emit_exact else np.full(ts.size, complex(math.nan, math.nan)))
+        # np.hypot gives abs(complex) bit for bit; numpy's complex np.abs does not
+        abs_g2, abs_g3, diff = (np.hypot(z.real, z.imag) for z in (*terms[1:3], exact - terms[3]))
+        max_diff = float(diff.max()) if config.emit_exact else None
+        pairs = [x for z in (*terms, exact) for x in (z.real, z.imag)]  # re_*, im_* columns
+        rows = np.column_stack([ts, *pairs, abs_g2, abs_g3]).tolist()
+        out.append((_csv(CURVE_HEADER, rows),
+                    (lam, g, _t_star(ts, abs_g2, abs_g3), max_diff, near_critical)))
     return out
+
+
+def _t_star(ts: np.ndarray, abs_g2: np.ndarray, abs_g3: np.ndarray) -> float | None:
+    """The first sampled t with |Gamma3| > |Gamma2|, or None."""
+    return next(iter(ts[abs_g3 > abs_g2].tolist()), None)
 
 
 def _write_text(path: Path, text: str):
@@ -310,7 +310,12 @@ def _read_curve(path: Path, ts: np.ndarray) -> dict[str, np.ndarray]:
     if len(lines) == 1:
         raise ValueError(f"{path}: no data rows")
     cols = CURVE_HEADER.split(",")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed curve row: {exc}") from None
+    if data.shape[1] != len(cols):
+        raise ValueError(f"{path}: {data.shape[1]} fields per row, expected {len(cols)}")
     if not np.array_equal(data[:, 0], ts):
         raise ValueError(f"{path}: times differ from t_max={ts[-1]:g}, t_steps={ts.size}; "
                          "run the sweep with the same grid")
@@ -332,6 +337,9 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
       - near critical (|1 - lam| <= NEAR_CRITICAL_WINDOW, strong coupling):
         |Gamma3(t)| is non-decreasing over the sampled window.
     """
+    if config.orders < 3:
+        raise ValueError(f"check needs orders = 3, got {config.orders}: the regime claims "
+                         "compare Gamma2 with Gamma3")
     outdir = Path(config.outputs)
     ts = np.linspace(0.0, config.t_max, config.t_steps)
     curves = {}
@@ -359,11 +367,10 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
                     "weak-coupling ordering", subject, True,
                     "|Gamma3| < |Gamma2| at every sampled t > 0"))
         if abs(g) >= STRONG_G_MIN:
-            above = mask & (cur["abs_g3"] > cur["abs_g2"])
-            if above.any():
+            crossing = _t_star(cur["t"], cur["abs_g2"], cur["abs_g3"])
+            if crossing is not None:
                 results.append(ClaimResult(
-                    "strong-coupling crossing", subject, True,
-                    f"t* = {cur['t'][above][0]:g}"))
+                    "strong-coupling crossing", subject, True, f"t* = {crossing:g}"))
             else:
                 ratio = np.max(cur["abs_g3"][mask] / np.maximum(cur["abs_g2"][mask], 1e-300))
                 results.append(ClaimResult(

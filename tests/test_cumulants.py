@@ -305,17 +305,23 @@ def test_gamma3_requires_zero_temperature(model):
 
 
 def test_gamma_series_truncation_and_identity(model):
-    params, grid = model(10, 0.6, g=0.3)
     ts = np.linspace(0, 3, 7)
-    for order in (1, 2, 3):
-        terms = gamma_series(params, grid, ts, max_order=order)
-        for tm in terms:
-            included = [tm.gamma1, tm.gamma2, tm.gamma3][:order]
-            assert tm.truncated_sum == sum(included)
-            if order < 3:
-                assert tm.gamma3 == 0j
-            if order < 2:
-                assert tm.gamma2 == 0j
+    for g in (0.3, -0.3, 0.0):
+        params, grid = model(10, 0.6, g=g)
+        for order in (1, 2, 3):
+            terms = gamma_series(params, grid, ts, max_order=order)
+            for tm in terms:
+                included = [tm.gamma1, tm.gamma2, tm.gamma3][:order]
+                expect = sum(included)
+                assert tm.truncated_sum == expect
+                for got, want in ((tm.truncated_sum.real, expect.real),
+                                  (tm.truncated_sum.imag, expect.imag)):
+                    assert math.copysign(1.0, got) == math.copysign(1.0, want), (g, order, tm)
+                if order < 3:
+                    assert tm.gamma3 == 0j
+                if order < 2:
+                    assert tm.gamma2 == 0j
+    params, grid = model(10, 0.6, g=0.3)
     full = gamma_series(params, grid, ts, max_order=3)
     assert full[0].truncated_sum == 0j
     assert full[3].gamma1 == pytest.approx(gamma_order1(params, grid, float(ts[3])), rel=1e-14)
@@ -396,3 +402,11 @@ def test_gamma2_lower_bound(model, mirrored):
     floor = -2 * params.g**2 * float(np.sum(1.0 / mirrored(grid).eps**2))
     for t in np.linspace(0, 10, 23):
         assert gamma_order2(params, grid, float(t)).real >= floor - 1e-12
+
+
+def test_one_time_views_reject_bad_times(model):
+    params, grid = model(8, 0.5, g=0.4)
+    for view in (gamma_order1, gamma_order2, gamma_order3):
+        for t in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                view(params, grid, t)

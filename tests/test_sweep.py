@@ -19,6 +19,7 @@ from tfim_dephasing import (
     c3_irreducible,
     check_figures,
     curve_filename,
+    gamma_exact,
     load_config,
     make_kgrid,
     run_sweep,
@@ -288,6 +289,52 @@ def test_run_sweep_matches_gamma_series_bit_for_bit(tmp_path):
                 assert np.array_equal(written.view(np.uint64), expected.view(np.uint64)), col
 
 
+def reference_curve(config, lam, g):
+    """The curve file lines and summary row of one point as a loop over times in Python
+    complex arithmetic, with ``abs`` moduli and the series added by ``sum``."""
+    params = ModelParams(N=config.N, lam=lam, g=g)
+    grid = make_kgrid(params)
+    ts = np.linspace(0.0, config.t_max, config.t_steps)
+    s2, s3 = cumulants.mode_sums(params, grid, ts, config.orders)
+    c1_value = c1(params, grid).value.real
+    exact = gamma_exact(params, grid, ts).gamma.tolist() if config.emit_exact else None
+    lines, t_star, max_diff = [CURVE_HEADER], None, None
+    for i, t in enumerate(ts.tolist()):
+        terms = (complex(0.0, 2.0 * g * c1_value * t),
+                 complex(-2.0 * g**2 * float(s2[i]) if config.orders >= 2 else 0.0, 0.0),
+                 complex(0.0, 2.0 * g**3 * float(s3[i]) if config.orders >= 3 else 0.0))
+        total = sum(terms)
+        ex = exact[i] if exact is not None else complex(math.nan, math.nan)
+        abs_g2, abs_g3 = abs(terms[1]), abs(terms[2])
+        if t_star is None and abs_g3 > abs_g2:
+            t_star = t
+        if exact is not None:
+            diff = abs(ex - total)
+            max_diff = diff if max_diff is None else max(max_diff, diff)
+        row = [t, *(x for z in (*terms, total, ex) for x in (z.real, z.imag)), abs_g2, abs_g3]
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    near = int(abs(1.0 - lam) <= sweep_module.NEAR_CRITICAL_WINDOW)
+    summary = ",".join("" if v is None else f"{v:.17g}" for v in (lam, g, t_star, max_diff, near))
+    return lines, summary
+
+
+@pytest.mark.parametrize("emit_exact", [False, True])
+@pytest.mark.parametrize("orders", [1, 2, 3])
+def test_curve_table_matches_per_row_reference(tmp_path, orders, emit_exact):
+    """Every written field and summary row equals the per-time loop's text, so each
+    value matches bit for bit, signed zeros included (g = 0 and t = 0 write -0)."""
+    config = small_config(tmp_path, lambdas=(0.0, 0.5, 1.0), gs=(0.0, -0.5, 1e-3, 2.5),
+                          orders=orders, emit_exact=emit_exact)
+    run_sweep(config)
+    outdir = Path(config.outputs)
+    summary = (outdir / "summary.csv").read_text().splitlines()[1:]
+    points = [(lam, g) for lam in config.lambdas for g in config.gs]
+    for (lam, g), summary_row in zip(points, summary, strict=True):
+        lines, expected_summary = reference_curve(config, lam, g)
+        assert (outdir / curve_filename(lam, g)).read_text().splitlines() == lines, (lam, g)
+        assert summary_row == expected_summary, (lam, g)
+
+
 def test_run_sweep_pool_capped_at_unique_points(tmp_path, monkeypatch):
     requested = []
 
@@ -384,21 +431,27 @@ def test_run_sweep_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
 
 
 def test_summary_consistent_with_rows(tmp_path):
-    config = small_config(tmp_path, lambdas=(0.97,), gs=(1.0,), t_max=5.0, t_steps=33)
+    config = small_config(tmp_path, lambdas=(0.97, 1.0), gs=(0.5, -0.5, 2.5), t_max=5.0,
+                          t_steps=33)
     run_sweep(config)
     outdir = Path(config.outputs)
     summary = (outdir / "summary.csv").read_text().splitlines()
     assert summary[0] == SUMMARY_HEADER
-    lam_s, g_s, t_star_s, max_diff_s, near = summary[1].split(",")
-    assert float(lam_s) == 0.97 and float(g_s) == 1.0 and near == "1"
-    rows = read_rows(outdir / curve_filename(0.97, 1.0))
-    crossings = [r["t"] for r in rows if r["abs_g3"] > r["abs_g2"]]
-    assert crossings and float(t_star_s) == crossings[0]
-    diffs = [
-        abs(complex(r["re_exact"], r["im_exact"]) - complex(r["re_series"], r["im_series"]))
-        for r in rows
-    ]
-    assert float(max_diff_s) == max(diffs)
+    points = [(lam, g) for lam in config.lambdas for g in config.gs]
+    crossed = 0
+    for line, (lam, g) in zip(summary[1:], points, strict=True):
+        lam_s, g_s, t_star_s, max_diff_s, near = line.split(",")
+        assert float(lam_s) == lam and float(g_s) == g and near == "1"
+        rows = read_rows(outdir / curve_filename(lam, g))
+        crossings = [r["t"] for r in rows if r["abs_g3"] > r["abs_g2"]]
+        assert (float(t_star_s) if t_star_s else None) == (crossings[0] if crossings else None)
+        crossed += bool(crossings)
+        diffs = [
+            abs(complex(r["re_exact"], r["im_exact"]) - complex(r["re_series"], r["im_series"]))
+            for r in rows
+        ]
+        assert float(max_diff_s) == max(diffs), (lam, g)
+    assert crossed
 
 
 def test_summary_empty_fields(tmp_path):
@@ -613,3 +666,36 @@ def test_check_rejects_curve_without_rows(tmp_path, capsys):
              "--t-steps", "9", "--out", config.outputs]
     assert main(["check", *flags]) == 1
     assert f"{path}: no data rows" in capsys.readouterr().err
+
+
+def test_check_refuses_orders_below_3(tmp_path, capsys):
+    """A sweep with orders < 3 writes Gamma3 columns of zeros, which every regime
+    claim would judge as data."""
+    for orders in ("1", "2"):
+        flags = ["--lambdas", "0.97,1", "--gs", "0.01,1", "--N", "16", "--t-steps", "8",
+                 "--orders", orders, "--out", str(tmp_path / orders)]
+        assert main(["sweep", *flags]) == 0
+        assert main(["check", *flags]) == 1
+        captured = capsys.readouterr()
+        assert "Gamma2 with Gamma3" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("corrupt", ["non_numeric", "one_short_row", "every_row_short"])
+def test_check_names_file_with_malformed_row(tmp_path, capsys, corrupt):
+    config = small_config(tmp_path, gs=(0.01,))
+    run_sweep(config)
+    path = Path(config.outputs) / curve_filename(0.5, 0.01)
+    header, *rows = path.read_text().splitlines()
+    if corrupt == "non_numeric":
+        fields = rows[2].split(",")
+        fields[2] = "abc"
+        rows[2] = ",".join(fields)
+    elif corrupt == "one_short_row":
+        rows[3] = rows[3].rsplit(",", 1)[0]
+    else:
+        rows = [row.rsplit(",", 1)[0] for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    flags = ["--lambdas", "0.5", "--gs", "0.01", "--N", "16", "--t-max", "2",
+             "--t-steps", "9", "--out", config.outputs]
+    assert main(["check", *flags]) == 1
+    assert f"error: {path}: " in capsys.readouterr().err
