@@ -54,7 +54,11 @@ def mode_sums(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
 
     Sums the k > 0 half grid, doubled, over ``mode_chunks`` by ``blocks`` of
     times.  The chunks depend on the mode count only and are added in order,
-    so each time's value does not depend on the other times.
+    so each time's value does not depend on the other times.  Each chunk's
+    blocks are written into three buffers sized by its first (longest) block,
+    by the operations of ``(1 - cos x) * w2`` and ``(sin x - x cos x) * w3``
+    in that order, so the sums are those of the allocating expressions bit
+    for bit; a shorter last block uses the leading rows only.
     """
     if max_order >= 3:
         params.require_zero_temperature("order 3")
@@ -66,12 +70,23 @@ def mode_sums(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
         w2 = (occupation(params.beta, eps) + 1.0) ** 2 / eps**2
         w3 = grid.sin2theta_pos**2 / eps**3
         for k in mode_chunks(eps.size):
+            buffers = None
             for i in blocks(ts.size, two_eps[k].size):
-                x = np.multiply.outer(ts[i], two_eps[k])
-                cos_x = np.cos(x)
-                s2[i] += ((1.0 - cos_x) * w2[k]).sum(axis=1)
+                rows = ts[i].size
+                if buffers is None:
+                    buffers = np.empty((3, rows, two_eps[k].size))
+                x, cos_x, y = buffers[:, :rows]
+                np.multiply.outer(ts[i], two_eps[k], out=x)
+                np.cos(x, out=cos_x)
+                np.subtract(1.0, cos_x, out=y)
+                y *= w2[k]
+                s2[i] += y.sum(axis=1)
                 if max_order >= 3:
-                    s3[i] += ((np.sin(x) - x * cos_x) * w3[k]).sum(axis=1)
+                    np.sin(x, out=y)
+                    x *= cos_x
+                    y -= x
+                    y *= w3[k]
+                    s3[i] += y.sum(axis=1)
     return s2, s3
 
 
@@ -174,13 +189,15 @@ def gamma_order2_quadrature(
 
 
 def _order3_kernel_brackets(T1, T2, T3):
-    """Literal step-function brackets of the third-order kernel."""
-    def th(z):
-        return (z > 0).astype(float)
+    """Literal step-function brackets 1 - th*th - th*th of the third-order kernel.
 
-    b13 = 1.0 - th(T3 - T1) * th(T1 - T2) - th(T1 - T3) * th(T3 - T2)
-    b12 = 1.0 - th(T2 - T1) * th(T1 - T3) - th(T1 - T2) * th(T2 - T3)
-    b23 = 1.0 - th(T3 - T2) * th(T2 - T1) - th(T2 - T3) * th(T3 - T1)
+    Each th(Tp - Tq) is the boolean Tp > Tq (equal for finite times) and each
+    product th*th an ``&``; the subtraction casts the products to float.
+    """
+    t12, t21, t13, t31, t23, t32 = T1 > T2, T2 > T1, T1 > T3, T3 > T1, T2 > T3, T3 > T2
+    b13 = 1.0 - (t31 & t12) - (t13 & t32)
+    b12 = 1.0 - (t21 & t13) - (t12 & t23)
+    b23 = 1.0 - (t32 & t21) - (t23 & t31)
     return b13, b12, b23
 
 

@@ -16,11 +16,14 @@ reruns of the same configuration are byte-identical.
 The unit of work is one lambda with its couplings: the k-grid and the g-free
 series mode sums are computed once per lambda and scaled for each g, and the
 exact route runs once per g.  ``check`` reads the curve files back and rejects
-any whose ``t`` column is not the configured time grid.
+any whose ``t`` column is not the configured time grid, or whose ``abs_g3`` is 0
+at every t > 0 for a coupling whose |g|^3 is a normal float (a file written
+with orders < 3).
 """
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -148,8 +151,14 @@ def load_config(path, **overrides) -> SweepConfig:
 def _csv(header: str, rows) -> str:
     """CSV text: ``header``, then one LF-terminated line per row with each value
     at 17 significant digits (round-trip safe) and ``None`` as an empty field."""
-    lines = [header] + [",".join("" if v is None else f"{v:.17g}" for v in row) for row in rows]
-    return "".join(f"{line}\n" for line in lines)
+    template = ",".join(["%.17g"] * (header.count(",") + 1))
+    lines = [header]
+    for row in map(tuple, rows):
+        # "%.0s" writes any value, here None, as an empty field
+        fmt = template if None not in row else ",".join("%.0s" if v is None else "%.17g"
+                                                        for v in row)
+        lines.append(fmt % row)
+    return "\n".join(lines) + "\n"
 
 
 def curve_filename(lam: float, g: float) -> str:
@@ -348,7 +357,11 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
             path = outdir / curve_filename(lam, g)
             if not path.exists():
                 raise ValueError(f"missing sweep output {path}; run the sweep first")
-            curves[(lam, g)] = _read_curve(path, ts)
+            curves[(lam, g)] = cur = _read_curve(path, ts)
+            # a curve written with orders < 3; below a normal |g|^3 a zero column is genuine
+            if abs(g) ** 3 >= sys.float_info.min and not cur["abs_g3"][ts > 0.0].any():
+                raise ValueError(f"{path}: abs_g3 is 0 at every t > 0 although g = {g:g}; "
+                                 "was the sweep run with orders < 3?")
 
     results = []
 

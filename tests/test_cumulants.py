@@ -18,7 +18,8 @@ from tfim_dephasing import (
     gamma_order3_quadrature,
     gamma_series,
 )
-from tfim_dephasing.correlators import mode_cos_sum
+from tfim_dephasing.correlators import mode_cos_sum, occupation
+from tfim_dephasing.model import blocks, mode_chunks
 
 GAMMA3_LAM05_N8_G1_T1 = 1.9232600345545494j
 
@@ -342,6 +343,39 @@ def test_gamma_series_values_do_not_depend_on_grid(model):
     terms = gamma_series(hot, grid, ts, max_order=2)
     for i in (1, 64, 198):
         assert terms[i].gamma2 == gamma_order2(hot, grid, float(ts[i]))
+
+
+def _allocating_mode_sums(params, grid, ts, max_order):
+    """mode_sums' block walk with a fresh array for every operation."""
+    s2 = np.zeros_like(ts)
+    s3 = np.zeros_like(ts)
+    if max_order >= 2:
+        eps = grid.eps_pos
+        two_eps = 2.0 * eps
+        w2 = (occupation(params.beta, eps) + 1.0) ** 2 / eps**2
+        w3 = grid.sin2theta_pos**2 / eps**3
+        for k in mode_chunks(eps.size):
+            for i in blocks(ts.size, two_eps[k].size):
+                x = np.multiply.outer(ts[i], two_eps[k])
+                cos_x = np.cos(x)
+                s2[i] += ((1.0 - cos_x) * w2[k]).sum(axis=1)
+                if max_order >= 3:
+                    s3[i] += ((np.sin(x) - x * cos_x) * w3[k]).sum(axis=1)
+    return s2, s3
+
+
+@pytest.mark.parametrize("T", [37, 200])
+def test_mode_sums_buffers_match_allocating_expression(model, T):
+    """8266 half modes: chunks of 4096, 4096 and 74; the wide chunks walk blocks of
+    16 times, so the last block (5 or 8 rows) reuses only part of the buffers."""
+    ts = np.linspace(0.0, 6.5, T)
+    cases = [(model(16532, 0.8), order) for order in (1, 2, 3)]
+    cases.append((model(16532, 0.8, beta=1.3), 2))
+    for (params, grid), order in cases:
+        got = cumulants.mode_sums(params, grid, ts, order)
+        want = _allocating_mode_sums(params, grid, ts, order)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (params.beta, order)
 
 
 def test_gamma_series_memory_bounded_by_chunk(model):

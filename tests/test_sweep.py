@@ -476,6 +476,30 @@ def test_csv_roundtrip_17_digits(tmp_path):
     assert probe["im_g3"] == gamma_order3(params, grid, probe["t"]).imag
 
 
+def _per_value_csv(header, rows):
+    """The CSV text of an f-string per value, the formatter _csv must match byte for byte."""
+    lines = [header] + [",".join("" if v is None else f"{v:.17g}" for v in row) for row in rows]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def test_csv_bytes_match_per_value_formatting():
+    specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1]
+    curve = [specials + [-1e-300, 2.5, 3, -7, 10**20, 1 / 3],
+             np.random.default_rng(7).standard_normal(13).tolist()]
+    ts = np.linspace(0.0, 5.0, 4)
+    # the correlator dump's rows: numpy float64 scalars zipped from columns
+    correlators = list(zip(ts, np.full_like(ts, -0.0), ts**0.5,
+                       np.array([np.inf, -np.inf, np.nan, 5e-324])))
+    assert isinstance(correlators[0][0], np.float64)
+    # summary rows: empty t_star and max_exact_series_diff, an int near_critical
+    summary = [(0.97, -0.5, None, None, 1), (0.5, 2.5, 0.3125, math.nan, 0),
+               (np.float64(1.0), 1, None, 5e-324, True)]
+    for header, rows in ((CURVE_HEADER, curve), (sweep_module.CORRELATOR_HEADER, correlators),
+                         (SUMMARY_HEADER, summary)):
+        assert sweep_module._csv(header, rows) == _per_value_csv(header, rows)
+        assert sweep_module._csv(header, iter(rows)) == _per_value_csv(header, rows)
+
+
 def test_correlator_dump_mode(tmp_path):
     config = small_config(tmp_path, correlators=True, lambdas=(0.5, 0.5, 1.0), gs=(0.3,))
     paths = run_sweep(config)
@@ -678,6 +702,46 @@ def test_check_refuses_orders_below_3(tmp_path, capsys):
         assert main(["check", *flags]) == 1
         captured = capsys.readouterr()
         assert "Gamma2 with Gamma3" in captured.err and "PASS" not in captured.out
+
+
+def test_plain_check_refuses_curves_swept_below_order_3(tmp_path, capsys):
+    """The curve files do not record orders: a default (orders = 3) check of an
+    orders 1 or 2 sweep must not judge its all-zero Gamma3 columns."""
+    for orders in ("1", "2"):
+        flags = ["--lambdas", "0.97,1", "--gs", "0.01,1", "--N", "16", "--t-steps", "8",
+                 "--out", str(tmp_path / orders)]
+        assert main(["sweep", *flags, "--orders", orders]) == 0
+        assert main(["check", *flags]) == 1
+        captured = capsys.readouterr()
+        path = tmp_path / orders / curve_filename(0.97, 0.01)
+        assert f"error: {path}: abs_g3 is 0 at every t > 0" in captured.err
+        assert "PASS" not in captured.out
+
+
+# check_figures' report on the configuration below before the all-zero Gamma3 rule
+ORDER3_REPORT = """\
+[PASS] weak-coupling ordering (lambda=0.5, g=0.001): |Gamma3| < |Gamma2| at every sampled t > 0
+[PASS] weak-coupling ordering (lambda=0.5, g=-0.001): |Gamma3| < |Gamma2| at every sampled t > 0
+[PASS] strong-coupling crossing (lambda=0.5, g=2.5): t* = 0.645161
+[PASS] weak-coupling ordering (lambda=0.97, g=0.001): |Gamma3| < |Gamma2| at every sampled t > 0
+[PASS] weak-coupling ordering (lambda=0.97, g=-0.001): |Gamma3| < |Gamma2| at every sampled t > 0
+[PASS] strong-coupling crossing (lambda=0.97, g=2.5): t* = 0.483871
+[PASS] near-critical monotone growth (lambda=0.97, g=2.5): |Gamma3| non-decreasing over the window
+[PASS] cubic coupling scaling (lambda=0.5, gs=0.001,-0.001,2.5): |Gamma3|/|g|^3 identical across g
+[PASS] cubic coupling scaling (lambda=0.97, gs=0.001,-0.001,2.5): |Gamma3|/|g|^3 identical across g
+check_figures: PASS"""
+
+
+def test_check_judges_order3_sweeps_as_before(tmp_path):
+    config = small_config(tmp_path, lambdas=(0.5, 0.97), gs=(0.0, 1e-3, -1e-3, 2.5), N=64,
+                          t_max=5.0, t_steps=32, emit_exact=False)
+    run_sweep(config)
+    assert check_figures(config).format() == ORDER3_REPORT
+    # |g|^3 = 1e-360 underflows to 0, so a genuine orders-3 Gamma3 column is all zero
+    tiny = small_config(tmp_path, gs=(1e-120,), N=64, t_max=5.0, t_steps=32, emit_exact=False)
+    run_sweep(tiny)
+    assert read_rows(Path(tiny.outputs) / curve_filename(0.5, 1e-120))[-1]["abs_g3"] == 0.0
+    assert check_figures(tiny).passed
 
 
 @pytest.mark.parametrize("corrupt", ["non_numeric", "one_short_row", "every_row_short"])
