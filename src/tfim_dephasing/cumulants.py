@@ -17,7 +17,8 @@ lambda; ``scaled_terms`` forms Gamma1..3 and their sum from them as one (4, T)
 array, and ``gamma_series`` is its one-coupling, per-time view.  Both closed
 forms are checked against direct Gauss-Legendre quadrature of the kernels; for
 the third order the reference rule integrates the literal bracketed kernel,
-cell-by-cell (spectral) or on one tensor grid over the cube (error O(points^-2)).
+cell-by-cell (spectral; the brackets once per cell) or on one tensor grid over
+the cube (error O(points^-2)).
 """
 
 from dataclasses import dataclass
@@ -213,9 +214,11 @@ def gamma_order3_quadrature(
     split_orderings=True integrates the six strict-ordering cells with nested
     variable-limit Gauss-Legendre rules (points per axis per cell) and the
     literal step brackets; the integrand is smooth on each cell, so this
-    converges spectrally.  The three pair sums are computed once per node for
-    all six cells, and the outer axis is walked in ``blocks`` of points^2-node
-    rows, so memory is bounded by a slab, not by points^3.
+    converges spectrally.  The brackets are constants on each cell and are
+    evaluated once per cell; cells with equal brackets share one kernel, and a
+    pair sum that no cell uses is skipped.  The outer axis is walked in
+    ``blocks`` of points^2-node rows, so memory is bounded by a slab, not by
+    points^3.
     split_orderings=False uses one tensor-product rule over the whole cube;
     the kernel kinks across the ordering boundaries limit that variant to
     O(points^-2) accuracy.
@@ -229,23 +232,32 @@ def gamma_order3_quadrature(
         u, wu = _leggauss01(points)
         ta = t * u[:, None, None]
         tb = ta * u[None, :, None]
-        # every cell puts the nodes (ta, tb, tc) on (T1, T2, T3) in its own
-        # order and cos is even, so one set of pair sums serves all six cells;
+        # the brackets are constants on each cell, so one node of the grid gives
+        # them all; each cell puts the nodes (ta, tb, tc) on (T1, T2, T3) in its
+        # own order and cos is even, so its brackets become coefficients of the
+        # pair sums (ab, ac, bc): the pair sum of nodes p and q is pairs[p + q - 1]
+        node = (ta[0, 0, 0], tb[0, 0, 0], tb[0, 0, 0] * u[0])
+        cells = []
+        for perm in permutations(range(3)):
+            p1, p2, p3 = (perm.index(m) for m in range(3))  # the nodes on T1, T2, T3
+            b13, b12, b23 = _order3_kernel_brackets(node[p1], node[p2], node[p3])
+            coefs = {p1 + p3 - 1: b13, p1 + p2 - 1: b12, p2 + p3 - 1: b23}
+            cells.append(tuple(coefs[j] for j in range(3)))
         # ta - tb does not depend on the third axis
-        s_ab = mode_cos_sum(grid, s2sq, ta - tb)
+        s_ab = mode_cos_sum(grid, s2sq, ta - tb) if any(c[0] for c in cells) else None
         integral = 0.0
         for i in blocks(points, points**2):
             nodes = (ta[i], tb[i], tb[i] * u)
-            # the pair sum of nodes p and q is pairs[p + q - 1]
-            pairs = (s_ab[i], mode_cos_sum(grid, s2sq, nodes[0] - nodes[2]),
+            pairs = (s_ab if s_ab is None else s_ab[i],
+                     mode_cos_sum(grid, s2sq, nodes[0] - nodes[2]),
                      mode_cos_sum(grid, s2sq, nodes[1] - nodes[2]))
             wt = wu[i, None, None] * wu[None, :, None] * wu * (t * nodes[0] * nodes[1])
-            for perm in permutations(range(3)):
-                p1, p2, p3 = (perm.index(m) for m in range(3))  # the nodes on T1, T2, T3
-                b13, b12, b23 = _order3_kernel_brackets(nodes[p1], nodes[p2], nodes[p3])
-                kern = -(b13 * pairs[p1 + p3 - 1] + b12 * pairs[p1 + p2 - 1]
-                         + b23 * pairs[p2 + p3 - 1])
-                integral += float(np.sum(wt * kern))
+            cell_sums = {}
+            for coefs in dict.fromkeys(cells):  # cells with equal coefficients share a kernel
+                terms = [c * s for c, s in zip(coefs, pairs) if c]
+                cell_sums[coefs] = float(np.sum(wt * -sum(terms[1:], terms[0])))
+            for coefs in cells:
+                integral += cell_sums[coefs]
     else:
         x, w = (t * v for v in _leggauss01(points))
         table = mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])

@@ -62,6 +62,10 @@ class ModelParams:
         for name in ("lam", "g", "omega0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        try:  # the series terms scale as g^2 and g^3
+            abs(float(self.g)) ** 3
+        except OverflowError:
+            raise ValueError(f"g must have a finite cube, got {self.g}") from None
         if not (self.lam >= 0):
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not (self.beta > 0):

@@ -202,6 +202,37 @@ def test_gamma_order3_quadrature_memory_bounded_by_block(model):
     assert peak < 16e6
 
 
+@pytest.mark.parametrize("N", [4, 32])
+def test_gamma_order3_quadrature_cells_at_nonpositive_t(model, N):
+    # for t < 0 the nested rule reverses the node order (ta < tb < tc), so each
+    # cell's brackets differ from t > 0 and the ta - tb pair sum is needed; at
+    # t = +-0 every node ties and only the sign of the zero sum is left
+    for lam in (0.0, 1.0):
+        params, grid = model(N, lam, g=1.3)
+        for t in (-1.5, 0.0, -0.0):
+            for points in (8, 17):
+                got = gamma_order3_quadrature(params, grid, t, points, split_orderings=True)
+                ref = six_cell_reference(params, grid, t, points)
+                assert got == ref, (lam, t, points)
+                assert math.copysign(1.0, got.imag) == math.copysign(1.0, ref.imag), (lam, t, points)
+
+
+def test_gamma_order3_quadrature_brackets_once_per_cell(model, monkeypatch):
+    calls = []
+    brackets = cumulants._order3_kernel_brackets
+
+    def counting(*args):
+        calls.append(args)
+        return brackets(*args)
+
+    monkeypatch.setattr(cumulants, "_order3_kernel_brackets", counting)
+    params, grid = model(8, 0.5, g=1.0)
+    for points in (8, 64):  # one slab, then several
+        calls.clear()
+        gamma_order3_quadrature(params, grid, 2.0, points)
+        assert len(calls) == 6, points
+
+
 def whole_cube_reference(params, grid, t, points):
     """The one-grid rule as first written: index arrays, the node meshgrid and
     the argmin over the whole points^3 cube."""

@@ -636,6 +636,21 @@ def test_cli_rejects_non_finite_before_writing(tmp_path, capsys):
     assert "argument --N: invalid N value: 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g", ["1e200", "1e103"])
+def test_cli_rejects_coupling_whose_cube_overflows(tmp_path, capsys, g):
+    # g^2 overflows at 1e200 and only g^3 at 1e103; the series terms need both
+    out = tmp_path / "overflow"
+    flags = ["--lambdas", "0.5", "--gs", g, "--N", "16", "--t-steps", "4", "--out", str(out)]
+    for argv in (["sweep", *flags], ["check", *flags],
+                 ["single", "--lambda", "0.5", "--g", g, "--N", "16", "--t-max", "5",
+                  "--t-steps", "4"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert "error: g must have a finite cube" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_single_stdout(tmp_path, capsys):
     assert main(["single", "--lambda", "0.5", "--g", "0.3", "--N", "16",
                  "--t-max", "2.0", "--t-steps", "5"]) == 0
