@@ -9,10 +9,8 @@ from ._version import __version__
 from .correlators import (
     CorrelatorValue,
     c1,
-    c2_full,
     c2_irreducible,
     c3_irreducible,
-    c3_part,
     occupation,
 )
 from .cumulants import (
@@ -80,10 +78,8 @@ __all__ = [
     "ab_magnitudes",
     "bogoliubov_angles",
     "c1",
-    "c2_full",
     "c2_irreducible",
     "c3_irreducible",
-    "c3_part",
     "certify_closed_form",
     "check_figures",
     "curve_filename",

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 """
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 from functools import partial
@@ -17,7 +18,14 @@ from ._version import __version__
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with status 1 (config error)."""
+    """argparse variant whose usage errors exit with status 1 (config error) and
+    that takes any token starting like a negative float literal (``-1e-3``,
+    ``-.5``, ``-inf``, ``-1e-3,1``) as a value, where argparse takes only plain
+    decimals such as ``-0.5``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

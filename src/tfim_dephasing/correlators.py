@@ -38,9 +38,14 @@ def occupation(beta: float, eps: np.ndarray) -> np.ndarray:
 
 def mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs) -> np.ndarray:
     """sum_k weights_k * cos(2 eps_k d) over all N modes for every d in diffs;
-    weights on the k > 0 half, doubled.  Each row is reduced by its own sum,
-    not a matrix product, whose last bits would depend on the rows beside it."""
-    two_eps = 2.0 * grid.eps_pos
+    weights on the k > 0 half, doubled.  Each run of neighbouring modes with
+    equal eps is one level: one cosine, weighted by the run's summed weight
+    (with no two neighbours equal, the per-mode sum bit for bit).  Each row is
+    reduced by its own sum, not a matrix product, whose last bits would depend
+    on the rows beside it."""
+    starts = np.flatnonzero(np.r_[True, grid.eps_pos[1:] != grid.eps_pos[:-1]])
+    two_eps = 2.0 * grid.eps_pos[starts]
+    weights = np.add.reduceat(weights, starts)
     flat = np.asarray(diffs, dtype=float).reshape(-1)
     out = np.empty_like(flat)
     for i in blocks(flat.size, two_eps.size):
@@ -73,12 +78,6 @@ def c2_irreducible(params: ModelParams, grid: KGrid, t1: float, t2: float) -> Co
     return CorrelatorValue(complex(value, 0.0), 2, (t1, t2))
 
 
-def c2_full(params: ModelParams, grid: KGrid, t1: float, t2: float) -> CorrelatorValue:
-    """Full (reducible) second-order correlator, defined as c1^2 + c2_irreducible."""
-    value = c1(params, grid).value ** 2 + c2_irreducible(params, grid, t1, t2).value
-    return CorrelatorValue(value, 2, (t1, t2))
-
-
 def c3_values(params: ModelParams, grid: KGrid, t1, t2, t3) -> np.ndarray:
     """``c3_irreducible`` at broadcast time arrays t1, t2, t3: with s = the sorted
     times, -(C(s1 - s0) + C(s2 - s0)) for the sin^2(2theta_k)-weighted cosine sum C."""
@@ -103,19 +102,3 @@ def c3_irreducible(
     value = float(c3_values(params, grid, t1, t2, t3))
     return CorrelatorValue(complex(value, 0.0), 3, (t1, t2, t3))
 
-
-def c3_part(
-    params: ModelParams, grid: KGrid, t1: float, t2: float, t3: float
-) -> CorrelatorValue:
-    """Unordered three-operator trace at zero temperature (internal cross-check).
-
-    c1^3 + c1*S(t1-t2) + c1*S(t2-t3) - 2*S(t1-t3)  with
-    S(d) = sum_k sin^2(2theta_k) exp(-2i eps_k d).  Complex valued and
-    independent of the coupling g.
-    """
-    params.require_zero_temperature("c3_part")
-    d = np.multiply.outer([t1 - t2, t2 - t3, t1 - t3], grid.eps_pos)
-    s12, s23, s13 = 2.0 * (grid.sin2theta_pos**2 * np.exp(-2j * d)).sum(axis=1)
-    one = c1(params, grid).value
-    value = one**3 + one * s12 + one * s23 - 2.0 * s13
-    return CorrelatorValue(value, 3, (t1, t2, t3))

@@ -4,15 +4,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from tfim_dephasing import (
-    FiniteBetaError,
-    c1,
-    c2_full,
-    c2_irreducible,
-    c3_irreducible,
-    c3_part,
-)
+from tfim_dephasing import FiniteBetaError, c1, c2_irreducible, c3_irreducible
 from tfim_dephasing.correlators import mode_cos_sum
+from tfim_dephasing.model import BLOCK_ELEMENTS, blocks
 
 # frozen by independent per-mode summation (see in-test oracles below)
 C1_LAM2_N4 = -3.689786838393518
@@ -114,11 +108,14 @@ def test_c2_evenness_exact(model):
     )
 
 
-@pytest.mark.parametrize("N", [8, 32, 20000])
-def test_mode_cos_sum_rows_are_independent(model, N):
+@pytest.mark.parametrize("N, lam", [
+    *(pytest.param(N, 0.7, id=str(N)) for N in (8, 32, 20000)),
+    *(pytest.param(N, 0.0, id=f"lam0-{N}") for N in (8, 20000)),
+])
+def test_mode_cos_sum_rows_are_independent(model, N, lam):
     # each value depends on its own d only: a batched call equals the
     # one-element calls bit for bit, across block boundaries too
-    _, grid = model(N, 0.7)
+    _, grid = model(N, lam)
     weights = grid.sin2theta_pos**2
     diffs = np.concatenate([[0.0, -1.3, 1.3], np.random.default_rng(N).uniform(-9, 9, 200)])
     batched = mode_cos_sum(grid, weights, diffs)
@@ -126,6 +123,64 @@ def test_mode_cos_sum_rows_are_independent(model, N):
     for d, value in zip(diffs, batched):
         assert mode_cos_sum(grid, weights, np.array([d]))[0] == value
         assert mode_cos_sum(grid, weights, d) == value
+
+
+def _per_mode_cos_sum(grid, weights, diffs):
+    """The kernel's body with one cosine per mode, for the bit-for-bit check."""
+    two_eps = 2.0 * grid.eps_pos
+    flat = np.asarray(diffs, dtype=float).reshape(-1)
+    out = np.empty_like(flat)
+    for i in blocks(flat.size, two_eps.size):
+        x = np.multiply.outer(flat[i], two_eps)
+        np.cos(x, out=x)
+        x *= weights
+        out[i] = x.sum(axis=1)
+    return 2.0 * out.reshape(np.shape(diffs))
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("N", [32, 20000])
+def test_mode_cos_sum_distinct_levels_equal_per_mode_sum(model, N, lam):
+    # eps_k increases with k for lam > 0, so every mode is its own level
+    _, grid = model(N, lam)
+    assert np.all(np.diff(grid.eps_pos) > 0)
+    rng = np.random.default_rng(N)
+    rows = 2 * (BLOCK_ELEMENTS // (N // 2)) + 7  # three or more blocks, the last one short
+    diffs = rng.uniform(-9, 9, rows)
+    for weights in (grid.sin2theta_pos**2, rng.uniform(0, 2, N // 2)):
+        got = mode_cos_sum(grid, weights, diffs)
+        assert np.array_equal(got, _per_mode_cos_sum(grid, weights, diffs))
+
+
+@pytest.mark.parametrize("N", [32, 20000])
+def test_mode_cos_sum_flat_band_matches_fsum(model, N):
+    # at lam = 0 every eps_k is 2: one level with the summed weight
+    _, grid = model(N, 0.0)
+    rng = np.random.default_rng(N + 1)
+    diffs = np.concatenate([[0.0, math.pi / 8], rng.uniform(-9, 9, 100)])
+    for weights in (grid.sin2theta_pos**2, np.ones(N // 2), rng.uniform(0, 2, N // 2)):
+        got = mode_cos_sum(grid, weights, diffs)
+        for d, value in zip(diffs, got):
+            ref = math.fsum(2.0 * w * math.cos(2.0 * e * d)
+                            for w, e in zip(weights.tolist(), grid.eps_pos.tolist()))
+            assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("lam, levels", [(0.0, 1), (0.5, 32)])
+def test_mode_cos_sum_one_cosine_per_level(model, monkeypatch, lam, levels):
+    # 64 modes: one level at lam = 0, 32 distinct k > 0 levels at lam = 0.5
+    _, grid = model(64, lam)
+    counted = []
+    cos = np.cos
+
+    def counting_cos(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counting_cos)
+    diffs = np.linspace(-3.0, 3.0, 50)
+    mode_cos_sum(grid, grid.sin2theta_pos**2, diffs)
+    assert sum(counted) == diffs.size * levels
 
 
 def test_c2_bound(model):
@@ -145,30 +200,6 @@ def test_c2_finite_beta_weights(model):
         for _, e, _, _ in _mode_data(6, 0.7)
     )
     assert c2_irreducible(params, grid, d, 0.0).value.real == pytest.approx(expect, rel=1e-14)
-
-
-def test_c2_full_decomposition(model):
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        N = int(rng.integers(2, 17)) * 2
-        lam = float(rng.uniform(0, 2))
-        beta = float(rng.uniform(0.5, 5)) if rng.random() < 0.5 else math.inf
-        params, grid = model(N, lam, beta=beta)
-        t1, t2 = rng.uniform(0, 5, 2)
-        full = c2_full(params, grid, t1, t2).value
-        parts = c1(params, grid).value ** 2 + c2_irreducible(params, grid, t1, t2).value
-        assert abs(full - parts) <= 1e-10 * max(abs(full), 1.0)
-
-
-def test_c2_full_examples(model):
-    params, grid = model(8, 0.0)
-    dt = 0.6
-    assert c2_full(params, grid, dt, 0.0).value.real == pytest.approx(
-        8 * math.cos(4 * dt), abs=1e-10
-    )
-    params, grid = model(8, 1.4)
-    c1sq = c1(params, grid).value.real ** 2
-    assert c2_full(params, grid, 2.2, 2.2).value.real == pytest.approx(c1sq + 8, rel=1e-14)
 
 
 def _theta(x):
@@ -267,29 +298,32 @@ def test_c3_requires_zero_temperature(model):
     params, grid = model(8, 0.5, beta=3.0)
     with pytest.raises(FiniteBetaError):
         c3_irreducible(params, grid, 1.0, 0.5, 0.2)
-    with pytest.raises(FiniteBetaError):
-        c3_part(params, grid, 1.0, 0.5, 0.2)
+
+
+def _c3_part(params, grid, t1, t2, t3):
+    """Unordered three-operator trace at zero temperature, the reference for the
+    bracket assembly of ``c3_irreducible``:
+
+    c1^3 + c1*S(t1-t2) + c1*S(t2-t3) - 2*S(t1-t3)  with
+    S(d) = sum_k sin^2(2theta_k) exp(-2i eps_k d).  Complex valued and
+    independent of the coupling g.
+    """
+    d = np.multiply.outer([t1 - t2, t2 - t3, t1 - t3], grid.eps_pos)
+    s12, s23, s13 = 2.0 * (grid.sin2theta_pos**2 * np.exp(-2j * d)).sum(axis=1)
+    one = c1(params, grid).value
+    return one**3 + one * s12 + one * s23 - 2.0 * s13
 
 
 def test_c3_part_lambda0_equal_times(model):
     params, grid = model(12, 0.0)
-    val = c3_part(params, grid, 0.8, 0.8, 0.8).value
+    val = _c3_part(params, grid, 0.8, 0.8, 0.8)
     assert val.real == pytest.approx(-12.0, rel=1e-12)
     assert abs(val.imag) < 1e-12
 
 
-def test_c3_part_g_independent(model):
-    p_small, grid = model(8, 0.5, g=0.01)
-    p_large, _ = model(8, 0.5, g=1.0)
-    assert (
-        c3_part(p_small, grid, 0.3, 0.2, 0.1).value
-        == c3_part(p_large, grid, 0.3, 0.2, 0.1).value
-    )
-
-
 def test_c3_part_frozen_and_oracle(model):
     params, grid = model(8, 0.5)
-    got = c3_part(params, grid, 0.1, 0.2, 0.3).value
+    got = _c3_part(params, grid, 0.1, 0.2, 0.3)
     assert got == pytest.approx(C3PART_LAM05_N8, rel=1e-13)
     modes = _mode_data(8, 0.5)
     one = sum(c for _, _, c, _ in modes)
@@ -311,7 +345,7 @@ def test_c3_assembly_from_parts(model):
         t1, t2, t3 = rng.uniform(0, 3, 3)
         if len({t1, t2, t3}) < 3:
             continue
-        cp = lambda x, y, z: c3_part(params, grid, x, y, z).value
+        cp = lambda x, y, z: _c3_part(params, grid, x, y, z)
         b13 = 1 - _theta(t3 - t1) * _theta(t1 - t2) - _theta(t1 - t3) * _theta(t3 - t2)
         b12 = 1 - _theta(t2 - t1) * _theta(t1 - t3) - _theta(t1 - t2) * _theta(t2 - t3)
         b23 = 1 - _theta(t3 - t2) * _theta(t2 - t1) - _theta(t2 - t3) * _theta(t3 - t1)

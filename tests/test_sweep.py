@@ -636,7 +636,7 @@ def test_cli_rejects_non_finite_before_writing(tmp_path, capsys):
     assert "argument --N: invalid N value: 'abc'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("g", ["1e200", "1e103"])
+@pytest.mark.parametrize("g", ["1e200", "1e103", "-1e103"])
 def test_cli_rejects_coupling_whose_cube_overflows(tmp_path, capsys, g):
     # g^2 overflows at 1e200 and only g^3 at 1e103; the series terms need both
     out = tmp_path / "overflow"
@@ -649,6 +649,51 @@ def test_cli_rejects_coupling_whose_cube_overflows(tmp_path, capsys, g):
         assert "error: g must have a finite cube" in captured.err
         assert captured.out == ""
     assert not out.exists()
+
+
+SINGLE_FLAGS = {"--lambda": "lam", "--g": "g", "--N": "N", "--t-max": "t_max",
+                "--t-steps": "t_steps", "--orders": "orders"}
+
+
+@pytest.mark.parametrize("token", ["-1e-3", "-.5E+1", "-inf"])
+def test_cli_value_flags_take_negative_float_literals(capsys, token):
+    # argparse alone reads "-1e-3" as an unknown option ("expected one argument")
+    parser = cli._build_parser()
+    single = ["single", "--lambda", "0.5", "--g", "0", "--N", "16", "--t-max", "1",
+              "--t-steps", "3"]
+    cases = [(["sweep"], flag, name) for name, (flag, _) in FIELD_VALUES.items()
+             if not isinstance(getattr(SweepConfig(), name), bool)]
+    cases += [(["sweep"], "--config", "config")]
+    cases += [(single, flag, dest) for flag, dest in SINGLE_FLAGS.items()]
+    for head, flag, dest in cases:
+        try:
+            value = getattr(parser.parse_args([*head, flag, token]), dest)
+        except SystemExit as exc:  # an integer flag
+            assert exc.code == 1
+            assert f"argument {flag}: invalid" in capsys.readouterr().err, flag
+        else:
+            assert value in (float(token), (float(token),), token), flag
+
+
+def test_cli_single_negative_exponent_coupling(capsys):
+    argv = ["single", "--lambda", "0.5", "--N", "16", "--t-max", "2.0", "--t-steps", "5"]
+    assert main([*argv, "--g=-1e-3"]) == 0
+    joined = capsys.readouterr().out
+    assert main([*argv, "--g", "-1e-3"]) == 0
+    assert capsys.readouterr().out == joined
+    assert joined.count("\n") == 6
+
+
+def test_cli_sweep_negative_exponent_couplings(tmp_path, capsys):
+    written = []
+    for form in (["--gs=-1e-3,1"], ["--gs", "-1e-3,1"]):
+        out = tmp_path / f"out{len(written)}"
+        assert main(["sweep", "--lambdas", "0.5", *form, "--N", "16", "--t-steps", "4",
+                     "--emit-exact", "--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+    assert sorted(written[0]) == [curve_filename(0.5, -1e-3), curve_filename(0.5, 1.0),
+                                  "summary.csv"]
 
 
 def test_cli_single_stdout(tmp_path, capsys):
