@@ -2,7 +2,8 @@
 
 Two routes to the decoherence function Gamma(t) (rho_10(t) = e^Gamma rho_10(0)):
 a truncated cumulant series built from the first three irreducible bath
-correlators, and the exact per-mode product solution at zero temperature.
+correlators, and the exact per-mode product solution.  The bath is at zero
+temperature throughout.
 """
 
 from ._version import __version__
@@ -11,7 +12,6 @@ from .correlators import (
     c1,
     c2_irreducible,
     c3_irreducible,
-    occupation,
 )
 from .cumulants import (
     CumulantTerms,
@@ -25,26 +25,19 @@ from .cumulants import (
 from .errors import (
     BranchTrackingError,
     DegenerateModeError,
-    FiniteBetaError,
     QuadratureConvergenceError,
 )
 from .exact import (
     DecoherenceCurve,
-    ModeABC,
-    ab_magnitudes,
     certify_closed_form,
     gamma_exact,
     gamma_for_series_comparison,
-    mode_abc,
     mode_overlap_closed_form,
-    mode_overlap_oracle,
 )
 from .model import (
     KGrid,
     KMode,
     ModelParams,
-    bogoliubov_angles,
-    dispersion,
     make_kgrid,
 )
 from .sweep import (
@@ -68,22 +61,17 @@ __all__ = [
     "DecoherenceCurve",
     "DegenerateModeError",
     "FigureCheckReport",
-    "FiniteBetaError",
     "KGrid",
     "KMode",
-    "ModeABC",
     "ModelParams",
     "QuadratureConvergenceError",
     "SweepConfig",
-    "ab_magnitudes",
-    "bogoliubov_angles",
     "c1",
     "c2_irreducible",
     "c3_irreducible",
     "certify_closed_form",
     "check_figures",
     "curve_filename",
-    "dispersion",
     "gamma_exact",
     "gamma_for_series_comparison",
     "gamma_order1",
@@ -94,9 +82,6 @@ __all__ = [
     "gamma_series",
     "load_config",
     "make_kgrid",
-    "mode_abc",
     "mode_overlap_closed_form",
-    "mode_overlap_oracle",
-    "occupation",
     "run_sweep",
 ]

@@ -1,4 +1,5 @@
-"""Irreducible bath correlation functions entering the cumulant series.
+"""Irreducible bath correlation functions entering the cumulant series, at zero
+temperature (no mode is excited).
 
 Conventions:
   - sums run over all N modes as twice the k > 0 half-grid sum, and every
@@ -11,7 +12,6 @@ Conventions:
     that contain the earliest time argument.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +26,6 @@ class CorrelatorValue:
     value: complex
     order: int
     times: tuple[float, ...]
-
-
-def occupation(beta: float, eps: np.ndarray) -> np.ndarray:
-    """Fermi factor 1/(exp(beta*eps) + 1); exactly zero at beta = inf."""
-    if math.isinf(beta):
-        return np.zeros_like(eps)
-    with np.errstate(over="ignore"):
-        return 1.0 / (np.exp(beta * eps) + 1.0)
 
 
 def mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs) -> np.ndarray:
@@ -57,31 +49,28 @@ def mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs) -> np.ndarray:
 
 
 def c1(params: ModelParams, grid: KGrid) -> CorrelatorValue:
-    """First-order correlator: sum_k (cos 2theta_k - 2 n_k).  Time independent."""
-    n = occupation(params.beta, grid.eps_pos)
-    value = 2.0 * float(np.sum(grid.cos2theta_pos - 2.0 * n))
+    """First-order correlator: sum_k cos 2theta_k.  Time independent."""
+    value = 2.0 * float(np.sum(grid.cos2theta_pos))
     return CorrelatorValue(complex(value, 0.0), 1, ())
 
 
-def c2_values(params: ModelParams, grid: KGrid, t1, t2) -> np.ndarray:
+def c2_values(grid: KGrid, t1, t2) -> np.ndarray:
     """``c2_irreducible`` at broadcast time arrays t1, t2."""
-    w = (occupation(params.beta, grid.eps_pos) + 1.0) ** 2
-    return mode_cos_sum(grid, w, np.abs(np.subtract(t1, t2)))
+    return mode_cos_sum(grid, np.ones_like(grid.eps_pos), np.abs(np.subtract(t1, t2)))
 
 
 def c2_irreducible(params: ModelParams, grid: KGrid, t1: float, t2: float) -> CorrelatorValue:
-    """Second-order irreducible correlator sum_k cos(2 eps_k (t1-t2)) (n_k+1)^2.
+    """Second-order irreducible correlator sum_k cos(2 eps_k (t1-t2)).
 
     Real, stationary (depends on t1 - t2 only) and even in the difference.
     """
-    value = float(c2_values(params, grid, t1, t2))
+    value = float(c2_values(grid, t1, t2))
     return CorrelatorValue(complex(value, 0.0), 2, (t1, t2))
 
 
-def c3_values(params: ModelParams, grid: KGrid, t1, t2, t3) -> np.ndarray:
+def c3_values(grid: KGrid, t1, t2, t3) -> np.ndarray:
     """``c3_irreducible`` at broadcast time arrays t1, t2, t3: with s = the sorted
     times, -(C(s1 - s0) + C(s2 - s0)) for the sin^2(2theta_k)-weighted cosine sum C."""
-    params.require_zero_temperature("c3_irreducible")
     s = np.sort(np.broadcast_arrays(t1, t2, t3), axis=0)
     w = grid.sin2theta_pos**2
     return -(mode_cos_sum(grid, w, s[1] - s[0]) + mode_cos_sum(grid, w, s[2] - s[0]))
@@ -90,7 +79,7 @@ def c3_values(params: ModelParams, grid: KGrid, t1, t2, t3) -> np.ndarray:
 def c3_irreducible(
     params: ModelParams, grid: KGrid, t1: float, t2: float, t3: float
 ) -> CorrelatorValue:
-    """Third-order irreducible correlator (zero temperature only).
+    """Third-order irreducible correlator.
 
     -sum_k sin^2(2theta_k) [ b13 cos(2 eps_k (t1-t3))
                            + b12 cos(2 eps_k (t1-t2))
@@ -99,6 +88,6 @@ def c3_irreducible(
     with step-function brackets b_xy = 1 - theta(.)theta(.) - theta(.)theta(.),
     of which only the pairs containing the earliest argument survive.
     """
-    value = float(c3_values(params, grid, t1, t2, t3))
+    value = float(c3_values(grid, t1, t2, t3))
     return CorrelatorValue(complex(value, 0.0), 3, (t1, t2, t3))
 

@@ -4,11 +4,11 @@ Each order is reduced to a closed-form mode sum (the time integrals of the
 cosine kernels are elementary):
 
     Gamma1(t) = 2 i g t c1
-    Gamma2(t) = -g^2  sum_k w_k (1 - cos(2 eps_k t)) / eps_k^2
+    Gamma2(t) = -g^2  sum_k (1 - cos(2 eps_k t)) / eps_k^2
     Gamma3(t) =  i g^3 sum_k sin^2(2theta_k) (sin x_k - x_k cos x_k) / eps_k^3,
                  x_k = 2 eps_k t
 
-with w_k = (n_k + 1)^2 (= 1 at zero temperature).  The third-order form comes
+at zero temperature.  The third-order form comes
 from splitting the integration cube into its six strict-ordering cells, on
 each of which the step brackets are constants; the summands are even in k, so
 one kernel (``mode_sums``) sums orders 2 and 3 over the k > 0 half grid,
@@ -16,9 +16,8 @@ doubled.  The sums S2, S3 do not depend on g, so a sweep computes them once per
 lambda; ``scaled_terms`` forms Gamma1..3 and their sum from them as one (4, T)
 array, and ``gamma_series`` is its one-coupling, per-time view.  Both closed
 forms are checked against direct Gauss-Legendre quadrature of the kernels; for
-the third order the reference rule integrates the literal bracketed kernel,
-cell-by-cell (spectral; the brackets once per cell) or on one tensor grid over
-the cube (error O(points^-2)).
+the third order the reference rule integrates the literal bracketed kernel
+cell by cell (spectral; the brackets once per cell).
 """
 
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .correlators import c1, c2_values, mode_cos_sum, occupation
+from .correlators import c1, c2_values, mode_cos_sum
 from .errors import QuadratureConvergenceError
 from .model import KGrid, ModelParams, blocks, checked_times, mode_chunks
 
@@ -50,7 +49,7 @@ def gamma_order1(params: ModelParams, grid: KGrid, t: float) -> complex:
     return gamma_series(params, grid, [t], 1)[0].gamma1
 
 
-def mode_sums(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
+def mode_sums(grid: KGrid, ts: np.ndarray, max_order: int):
     """The g-free sums (S2, S3) of orders 2 and 3 at ts; an order above max_order reads 0.
 
     Sums the k > 0 half grid, doubled, over ``mode_chunks`` by ``blocks`` of
@@ -61,14 +60,12 @@ def mode_sums(params: ModelParams, grid: KGrid, ts: np.ndarray, max_order: int):
     in that order, so the sums are those of the allocating expressions bit
     for bit; a shorter last block uses the leading rows only.
     """
-    if max_order >= 3:
-        params.require_zero_temperature("order 3")
     s2 = np.zeros_like(ts)
     s3 = np.zeros_like(ts)
     if max_order >= 2:
         eps = grid.eps_pos
         two_eps = 2.0 * eps
-        w2 = (occupation(params.beta, eps) + 1.0) ** 2 / eps**2
+        w2 = 1.0 / eps**2
         w3 = grid.sin2theta_pos**2 / eps**3
         for k in mode_chunks(eps.size):
             buffers = None
@@ -113,7 +110,7 @@ def gamma_order3(
     t: float,
     quadrature_points: int | None = None,
 ) -> complex:
-    """Third-order term (zero temperature); purely imaginary, scales as g^3.
+    """Third-order term; purely imaginary, scales as g^3.
 
     With ``quadrature_points`` set, the closed form is validated against the
     numerical cube integral at that resolution (refined until two successive
@@ -169,7 +166,7 @@ def gamma_series(
         raise ValueError(f"max_order must be 1, 2 or 3, got {max_order}")
     ts = checked_times(times)
     terms = scaled_terms(params.g, c1(params, grid).value.real, ts,
-                         mode_sums(params, grid, ts, max_order), max_order)
+                         mode_sums(grid, ts, max_order), max_order)
     return [CumulantTerms(t, *z) for t, *z in zip(ts.tolist(), *terms.tolist())]
 
 
@@ -184,7 +181,7 @@ def gamma_order2_quadrature(
 ) -> complex:
     """Reference value of the second order by tensor Gauss-Legendre on [0,t]^2."""
     x, w = (t * v for v in _leggauss01(points))
-    table = c2_values(params, grid, x[:, None], x[None, :])
+    table = c2_values(grid, x[:, None], x[None, :])
     integral = float(np.einsum("i,j,ij->", w, w, table))
     return complex(-2.0 * params.g**2 * integral, 0.0)
 
@@ -203,72 +200,48 @@ def _order3_kernel_brackets(T1, T2, T3):
 
 
 def gamma_order3_quadrature(
-    params: ModelParams,
-    grid: KGrid,
-    t: float,
-    points: int = 64,
-    split_orderings: bool = True,
+    params: ModelParams, grid: KGrid, t: float, points: int = 64
 ) -> complex:
     """Reference value of the third order by numerical integration over [0,t]^3.
 
-    split_orderings=True integrates the six strict-ordering cells with nested
-    variable-limit Gauss-Legendre rules (points per axis per cell) and the
-    literal step brackets; the integrand is smooth on each cell, so this
-    converges spectrally.  The brackets are constants on each cell and are
-    evaluated once per cell; cells with equal brackets share one kernel, and a
-    pair sum that no cell uses is skipped.  The outer axis is walked in
-    ``blocks`` of points^2-node rows, so memory is bounded by a slab, not by
-    points^3.
-    split_orderings=False uses one tensor-product rule over the whole cube;
-    the kernel kinks across the ordering boundaries limit that variant to
-    O(points^-2) accuracy.
+    Integrates the six strict-ordering cells with nested variable-limit
+    Gauss-Legendre rules (points per axis per cell) and the literal step
+    brackets; the integrand is smooth on each cell, so this converges
+    spectrally.  The brackets are constants on each cell and are evaluated once
+    per cell; cells with equal brackets share one kernel, and a pair sum that no
+    cell uses is skipped.  The outer axis is walked in ``blocks`` of
+    points^2-node rows, so memory is bounded by a slab, not by points^3.
     """
-    params.require_zero_temperature("gamma_order3_quadrature")
     if points < 2:
         raise ValueError("points must be >= 2")
     s2sq = grid.sin2theta_pos**2
-
-    if split_orderings:
-        u, wu = _leggauss01(points)
-        ta = t * u[:, None, None]
-        tb = ta * u[None, :, None]
-        # the brackets are constants on each cell, so one node of the grid gives
-        # them all; each cell puts the nodes (ta, tb, tc) on (T1, T2, T3) in its
-        # own order and cos is even, so its brackets become coefficients of the
-        # pair sums (ab, ac, bc): the pair sum of nodes p and q is pairs[p + q - 1]
-        node = (ta[0, 0, 0], tb[0, 0, 0], tb[0, 0, 0] * u[0])
-        cells = []
-        for perm in permutations(range(3)):
-            p1, p2, p3 = (perm.index(m) for m in range(3))  # the nodes on T1, T2, T3
-            b13, b12, b23 = _order3_kernel_brackets(node[p1], node[p2], node[p3])
-            coefs = {p1 + p3 - 1: b13, p1 + p2 - 1: b12, p2 + p3 - 1: b23}
-            cells.append(tuple(coefs[j] for j in range(3)))
-        # ta - tb does not depend on the third axis
-        s_ab = mode_cos_sum(grid, s2sq, ta - tb) if any(c[0] for c in cells) else None
-        integral = 0.0
-        for i in blocks(points, points**2):
-            nodes = (ta[i], tb[i], tb[i] * u)
-            pairs = (s_ab if s_ab is None else s_ab[i],
-                     mode_cos_sum(grid, s2sq, nodes[0] - nodes[2]),
-                     mode_cos_sum(grid, s2sq, nodes[1] - nodes[2]))
-            wt = wu[i, None, None] * wu[None, :, None] * wu * (t * nodes[0] * nodes[1])
-            cell_sums = {}
-            for coefs in dict.fromkeys(cells):  # cells with equal coefficients share a kernel
-                terms = [c * s for c, s in zip(coefs, pairs) if c]
-                cell_sums[coefs] = float(np.sum(wt * -sum(terms[1:], terms[0])))
-            for coefs in cells:
-                integral += cell_sums[coefs]
-    else:
-        x, w = (t * v for v in _leggauss01(points))
-        table = mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
-        j, k = np.arange(points)[:, None], np.arange(points)
-        integral = 0.0
-        for slab in blocks(points, points**2):
-            i = np.arange(points)[slab, None, None]
-            # limiting kernel: the two cosine pairs that contain the minimal
-            # time (the first one on ties, as argmin picks it)
-            omitted = np.where((x[i] <= x[j]) & (x[i] <= x[k]), table[j, k],
-                               np.where(x[j] <= x[k], table[k, i], table[i, j]))
-            kern = -((table[i, j] + table[i, k] + table[j, k]) - omitted)
-            integral += float(np.einsum("i,j,k,ijk->", w[i[:, 0, 0]], w, w, kern))
+    u, wu = _leggauss01(points)
+    ta = t * u[:, None, None]
+    tb = ta * u[None, :, None]
+    # the brackets are constants on each cell, so one node of the grid gives
+    # them all; each cell puts the nodes (ta, tb, tc) on (T1, T2, T3) in its
+    # own order and cos is even, so its brackets become coefficients of the
+    # pair sums (ab, ac, bc): the pair sum of nodes p and q is pairs[p + q - 1]
+    node = (ta[0, 0, 0], tb[0, 0, 0], tb[0, 0, 0] * u[0])
+    cells = []
+    for perm in permutations(range(3)):
+        p1, p2, p3 = (perm.index(m) for m in range(3))  # the nodes on T1, T2, T3
+        b13, b12, b23 = _order3_kernel_brackets(node[p1], node[p2], node[p3])
+        coefs = {p1 + p3 - 1: b13, p1 + p2 - 1: b12, p2 + p3 - 1: b23}
+        cells.append(tuple(coefs[j] for j in range(3)))
+    # ta - tb does not depend on the third axis
+    s_ab = mode_cos_sum(grid, s2sq, ta - tb) if any(c[0] for c in cells) else None
+    integral = 0.0
+    for i in blocks(points, points**2):
+        nodes = (ta[i], tb[i], tb[i] * u)
+        pairs = (s_ab if s_ab is None else s_ab[i],
+                 mode_cos_sum(grid, s2sq, nodes[0] - nodes[2]),
+                 mode_cos_sum(grid, s2sq, nodes[1] - nodes[2]))
+        wt = wu[i, None, None] * wu[None, :, None] * wu * (t * nodes[0] * nodes[1])
+        cell_sums = {}
+        for coefs in dict.fromkeys(cells):  # cells with equal coefficients share a kernel
+            terms = [c * s for c, s in zip(coefs, pairs) if c]
+            cell_sums[coefs] = float(np.sum(wt * -sum(terms[1:], terms[0])))
+        for coefs in cells:
+            integral += cell_sums[coefs]
     return complex(0.0, -(4.0 / 3.0) * params.g**3 * integral)

@@ -5,10 +5,6 @@ class DegenerateModeError(ValueError):
     """A momentum mode sits on (or underflows into) the gapless point."""
 
 
-class FiniteBetaError(ValueError):
-    """An operation only defined in the zero-temperature limit got finite beta."""
-
-
 class QuadratureConvergenceError(RuntimeError):
     """Numerical integration failed to converge or disagrees with the closed form."""
 

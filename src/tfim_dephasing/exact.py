@@ -46,15 +46,6 @@ OVERLAP_FLOOR = 1e-12
 ANCHOR_ROWS = 16  # requested times stepped from one closed-form evaluation, at most
 
 
-@dataclass(frozen=True)
-class ModeABC:
-    """Per-mode magnitudes a, b and the overlap matrix element at one time."""
-
-    a: float
-    b: float
-    A_entry: complex
-
-
 @dataclass(frozen=True, eq=False)
 class DecoherenceCurve:
     """Gamma(t) samples with the deterministic phase and parameter echo."""
@@ -63,12 +54,6 @@ class DecoherenceCurve:
     gamma: np.ndarray
     deterministic_phase: np.ndarray
     meta: ModelParams
-
-
-def ab_magnitudes(mode: KMode, g: float) -> tuple[float, float]:
-    """Magnitudes of the two per-mode rotation vectors; both equal eps at g = 0."""
-    a, b, *_ = _coefficients(mode.eps, mode.sin2theta, g)
-    return float(a), float(b)
 
 
 def _oracle_entries(eps, s2, g, ts):
@@ -83,17 +68,6 @@ def _oracle_entries(eps, s2, g, ts):
     phases = np.exp(np.multiply.outer(ts, [-1j, 1j])[..., None, None, None] * ev[:, :, None, :])
     u = (vec * phases) @ vec.conj().swapaxes(-1, -2)
     return (u[:, 0] @ u[:, 1])[..., 0, 0]
-
-
-def _at(entries, mode: KMode, g: float, t: float) -> complex:
-    """One mode's overlap at one time from a (times, modes) kernel."""
-    eps, s2 = np.array([mode.eps]), np.array([mode.sin2theta])
-    return complex(entries(eps, s2, g, np.array([t]))[0, 0])
-
-
-def mode_overlap_oracle(mode: KMode, g: float, t: float) -> complex:
-    """Ground-truth overlap from explicit 2x2 matrix exponentials (eigh route)."""
-    return _at(_oracle_entries, mode, g, t)
 
 
 def _coefficients(eps, s2, g):
@@ -152,21 +126,16 @@ def mode_overlap_closed_form(
     mode: KMode, g: float, t: float, corrected: bool = True
 ) -> complex:
     """Closed-form overlap; ``corrected=False`` selects the legacy coefficients."""
-    if corrected:
-        return _at(_closed_form_entries, mode, g, t)
     eps, s = mode.eps, mode.sin2theta
-    a, b = ab_magnitudes(mode, g)
+    if corrected:
+        return complex(_closed_form_entries(np.array([eps]), np.array([s]), g, np.array([t]))[0, 0])
+    a, b = map(float, _coefficients(eps, s, g)[:2])
     ta, tb = t * a, t * b
     return complex(
         math.cos(ta) * math.cos(tb)
         + (eps * eps - s * s) * math.sin(ta) * math.sin(tb) / (a * b)
         + 1j * eps * (math.sin(ta) * math.cos(tb) / a - math.cos(ta) * math.sin(tb) / b)
     )
-
-
-def mode_abc(mode: KMode, g: float, t: float) -> ModeABC:
-    a, b = ab_magnitudes(mode, g)
-    return ModeABC(a, b, mode_overlap_closed_form(mode, g, t))
 
 
 def certify_closed_form(grid: KGrid, gs, times) -> float:
@@ -232,7 +201,6 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
     Modes are summed over ``mode_chunks`` and time in ``blocks``.  Raises BranchTrackingError
     where |A_k| at a requested time or a bisection midpoint falls below OVERLAP_FLOOR.
     """
-    params.require_zero_temperature("gamma_exact")
     ts = checked_times(times)
     g, coef = params.g, _coefficients(grid.eps_pos, grid.sin2theta_pos, params.g)
     t_all = np.concatenate([[0.0], ts])  # B_k(0) = 1, then the requested times

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModeError, FiniteBetaError
+from .errors import DegenerateModeError
 
 RADICAND_FLOOR = 1e-300
 # Modes per chunk of the k > 0 half-grid sums; chunk bounds depend on N only.
@@ -31,7 +31,7 @@ BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical and numerical parameters of the dephasing model.
+    """Physical and numerical parameters of the dephasing model (zero temperature).
 
     Attributes
     ----------
@@ -43,16 +43,12 @@ class ModelParams:
         Qubit-bath coupling.
     omega0 : float
         Qubit level splitting; enters the deterministic phase only.
-    beta : float
-        Inverse temperature.  ``math.inf`` selects the zero-temperature
-        limit used everywhere by default.
     """
 
     N: int
     lam: float
     g: float
     omega0: float = 0.0
-    beta: float = math.inf
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
@@ -68,17 +64,6 @@ class ModelParams:
             raise ValueError(f"g must have a finite cube, got {self.g}") from None
         if not (self.lam >= 0):
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not (self.beta > 0):
-            raise ValueError(f"beta must be positive (or inf), got {self.beta}")
-
-    @property
-    def zero_temperature(self) -> bool:
-        return math.isinf(self.beta)
-
-    def require_zero_temperature(self, what: str):
-        """Raise FiniteBetaError unless beta = inf; ``what`` names the operation."""
-        if not self.zero_temperature:
-            raise FiniteBetaError(f"{what} is only available at beta = inf, got beta={self.beta}")
 
 
 def mode_chunks(n: int):
@@ -99,17 +84,6 @@ def _mode_data(k, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DegenerateModeError(f"gapless mode at lam={lam}: min radicand {np.min(rad)}")
     root = np.sqrt(rad)
     return 2.0 * root, (np.cos(k) - lam) / root, np.sin(k) / root
-
-
-def dispersion(k: float, lam: float) -> float:
-    """Single-mode excitation energy eps_k = 2*sqrt(1 - 2*lam*cos k + lam^2)."""
-    return float(_mode_data(k, lam)[0])
-
-
-def bogoliubov_angles(k: float, lam: float) -> tuple[float, float]:
-    """Return (cos 2theta_k, sin 2theta_k) from the explicit quotient forms."""
-    _, cos2, sin2 = _mode_data(k, lam)
-    return float(cos2), float(sin2)
 
 
 def checked_times(times) -> np.ndarray:

@@ -171,7 +171,7 @@ def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
     params = ModelParams(N=config.N, lam=lam, g=0.0)
     grid = make_kgrid(params)
     ts = np.linspace(0.0, config.t_max, config.t_steps)
-    sums = mode_sums(params, grid, ts, config.orders)
+    sums = mode_sums(grid, ts, config.orders)
     c1_value = c1(params, grid).value.real
     near_critical = int(abs(1.0 - lam) <= NEAR_CRITICAL_WINDOW)
     out = []
@@ -224,8 +224,7 @@ def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
         params = ModelParams(N=config.N, lam=lam, g=0.0)
         grid = make_kgrid(params)
         c1s = np.full_like(ts, c1(params, grid).value.real)
-        rows = zip(ts, c1s, c2_values(params, grid, ts, 0.0),
-                   c3_values(params, grid, ts, ts / 2.0, 0.0))
+        rows = zip(ts, c1s, c2_values(grid, ts, 0.0), c3_values(grid, ts, ts / 2.0, 0.0))
         path = Path(config.outputs) / f"correlators_lambda{lam:g}.csv"
         _write_text(path, _csv(CORRELATOR_HEADER, rows))
         written.append(path)
@@ -331,6 +330,11 @@ def _read_curve(path: Path, ts: np.ndarray) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(cols)}
 
 
+def _cube_is_normal(g: float) -> bool:
+    """|g|^3 is a normal float: below it a genuine Gamma3 = 2ig^3 S3 can underflow."""
+    return abs(g) ** 3 >= sys.float_info.min
+
+
 def check_figures(config: SweepConfig) -> FigureCheckReport:
     """Evaluate the qualitative regime claims against a finished sweep.
 
@@ -341,8 +345,9 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
         is not meaningful there.)
       - strong coupling (|g| >= STRONG_G_MIN): some sampled t* has
         |Gamma3(t*)| > |Gamma2(t*)|.
-      - cubic coupling scaling: |Gamma3|/|g|^3 is the same curve for every g at
-        fixed lambda, to SCALING_REL_TOL relative.
+      - cubic coupling scaling: |Gamma3|/|g|^3 is the same curve for every g
+        whose |g|^3 is a normal float at fixed lambda, to SCALING_REL_TOL
+        relative.
       - near critical (|1 - lam| <= NEAR_CRITICAL_WINDOW, strong coupling):
         |Gamma3(t)| is non-decreasing over the sampled window.
     """
@@ -359,7 +364,7 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
                 raise ValueError(f"missing sweep output {path}; run the sweep first")
             curves[(lam, g)] = cur = _read_curve(path, ts)
             # a curve written with orders < 3; below a normal |g|^3 a zero column is genuine
-            if abs(g) ** 3 >= sys.float_info.min and not cur["abs_g3"][ts > 0.0].any():
+            if _cube_is_normal(g) and not cur["abs_g3"][ts > 0.0].any():
                 raise ValueError(f"{path}: abs_g3 is 0 at every t > 0 although g = {g:g}; "
                                  "was the sweep run with orders < 3?")
 
@@ -401,8 +406,8 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
                         "near-critical monotone growth", subject, True,
                         "|Gamma3| non-decreasing over the window"))
 
-    # one verdict per distinct lambda, over the distinct nonzero g
-    gs = [g for g in dict.fromkeys(config.gs) if g != 0.0]
+    # one verdict per distinct lambda, over the distinct g with a normal |g|^3
+    gs = [g for g in dict.fromkeys(config.gs) if _cube_is_normal(g)]
     for lam in dict.fromkeys(config.lambdas) if len(gs) > 1 else ():
         subject = f"lambda={lam:g}, gs={','.join(f'{g:g}' for g in gs)}"
         ref = curves[(lam, gs[0])]["abs_g3"] / abs(gs[0]) ** 3

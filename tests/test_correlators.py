@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from tfim_dephasing import FiniteBetaError, c1, c2_irreducible, c3_irreducible
+from tfim_dephasing import c1, c2_irreducible, c3_irreducible
 from tfim_dephasing.correlators import mode_cos_sum
 from tfim_dephasing.model import BLOCK_ELEMENTS, blocks
 
@@ -42,24 +42,6 @@ def test_c1_frozen_and_oracle(model):
     oracle = sum(c for _, _, c, _ in reversed(_mode_data(4, 2.0)))
     assert oracle == pytest.approx(C1_LAM2_N4, rel=1e-14)
     assert c1(params, grid).order == 1 and c1(params, grid).times == ()
-
-
-def test_c1_finite_beta(model):
-    beta = 2.0
-    params, grid = model(8, 1.2, beta=beta)
-    expect = sum(c - 2.0 / (math.exp(beta * e) + 1.0) for _, e, c, _ in _mode_data(8, 1.2))
-    assert c1(params, grid).value.real == pytest.approx(expect, rel=1e-14)
-
-
-@pytest.mark.parametrize("lam", [0.5, 1.5])
-def test_c1_c2_beta_limit(model, mirrored, lam):
-    cold, grid = model(32, lam, beta=1e4)
-    zero, _ = model(32, lam)
-    bound = 32 * math.exp(-1e4 * mirrored(grid).eps.min()) + 1e-13
-    assert abs(c1(cold, grid).value - c1(zero, grid).value) <= bound
-    assert abs(
-        c2_irreducible(cold, grid, 1.3, 0.4).value - c2_irreducible(zero, grid, 1.3, 0.4).value
-    ) <= bound
 
 
 def test_c2_equal_times_is_n(model):
@@ -191,17 +173,6 @@ def test_c2_bound(model):
         assert abs(c2_irreducible(params, grid, t1, t2).value) <= 30 + 1e-12
 
 
-def test_c2_finite_beta_weights(model):
-    beta = 1.5
-    params, grid = model(6, 0.7, beta=beta)
-    d = 0.9
-    expect = sum(
-        math.cos(2 * e * d) * (1.0 / (math.exp(beta * e) + 1.0) + 1.0) ** 2
-        for _, e, _, _ in _mode_data(6, 0.7)
-    )
-    assert c2_irreducible(params, grid, d, 0.0).value.real == pytest.approx(expect, rel=1e-14)
-
-
 def _theta(x):
     return 1.0 if x > 0 else 0.0
 
@@ -292,12 +263,6 @@ def test_c3_bound(model, mirrored):
     for _ in range(20):
         ts = rng.uniform(0, 6, 3)
         assert abs(c3_irreducible(params, grid, *ts).value) <= cap
-
-
-def test_c3_requires_zero_temperature(model):
-    params, grid = model(8, 0.5, beta=3.0)
-    with pytest.raises(FiniteBetaError):
-        c3_irreducible(params, grid, 1.0, 0.5, 0.2)
 
 
 def _c3_part(params, grid, t1, t2, t3):

@@ -7,7 +7,6 @@ import pytest
 
 import tfim_dephasing.cumulants as cumulants
 from tfim_dephasing import (
-    FiniteBetaError,
     QuadratureConvergenceError,
     c1,
     c3_irreducible,
@@ -18,7 +17,7 @@ from tfim_dephasing import (
     gamma_order3_quadrature,
     gamma_series,
 )
-from tfim_dephasing.correlators import mode_cos_sum, occupation
+from tfim_dephasing.correlators import mode_cos_sum
 from tfim_dephasing.model import blocks, mode_chunks
 
 GAMMA3_LAM05_N8_G1_T1 = 1.9232600345545494j
@@ -77,19 +76,6 @@ def test_gamma2_nonpositive(model):
     for t in np.linspace(0, 8, 40):
         val = gamma_order2(params, grid, float(t))
         assert val.imag == 0.0 and val.real <= 0.0
-
-
-def test_gamma2_finite_beta(model, mirrored):
-    params, grid = model(8, 0.8, g=0.5, beta=1.3)
-    full = mirrored(grid)
-    t = 1.4
-    occ = 1.0 / (np.exp(1.3 * full.eps) + 1.0)
-    expect = -params.g**2 * float(
-        np.sum((occ + 1.0) ** 2 * (1 - np.cos(2 * full.eps * t)) / full.eps**2)
-    )
-    assert gamma_order2(params, grid, t).real == pytest.approx(expect, rel=1e-13)
-    quad = gamma_order2_quadrature(params, grid, t, points=64).real
-    assert expect == pytest.approx(quad, rel=1e-8)
 
 
 def test_gamma3_zero_time(model):
@@ -211,7 +197,7 @@ def test_gamma_order3_quadrature_cells_at_nonpositive_t(model, N):
         params, grid = model(N, lam, g=1.3)
         for t in (-1.5, 0.0, -0.0):
             for points in (8, 17):
-                got = gamma_order3_quadrature(params, grid, t, points, split_orderings=True)
+                got = gamma_order3_quadrature(params, grid, t, points)
                 ref = six_cell_reference(params, grid, t, points)
                 assert got == ref, (lam, t, points)
                 assert math.copysign(1.0, got.imag) == math.copysign(1.0, ref.imag), (lam, t, points)
@@ -231,68 +217,6 @@ def test_gamma_order3_quadrature_brackets_once_per_cell(model, monkeypatch):
         calls.clear()
         gamma_order3_quadrature(params, grid, 2.0, points)
         assert len(calls) == 6, points
-
-
-def whole_cube_reference(params, grid, t, points):
-    """The one-grid rule as first written: index arrays, the node meshgrid and
-    the argmin over the whole points^3 cube."""
-    s2sq = grid.sin2theta_pos**2
-    x01, w01 = cumulants._leggauss01(points)
-    x = t * x01
-    w = t * w01
-    table = mode_cos_sum(grid, s2sq, x[:, None] - x[None, :])
-    n = points
-    idx = np.indices((n, n, n))
-    stacked = np.stack(np.meshgrid(x, x, x, indexing="ij"))
-    m = np.argmin(stacked, axis=0)
-    total = table[idx[0], idx[1]] + table[idx[0], idx[2]] + table[idx[1], idx[2]]
-    omitted = table[
-        np.take_along_axis(idx, ((m + 1) % 3)[None], axis=0)[0],
-        np.take_along_axis(idx, ((m + 2) % 3)[None], axis=0)[0],
-    ]
-    integral = float(np.einsum("i,j,k,ijk->", w, w, w, -(total - omitted)))
-    return complex(0.0, -(4.0 / 3.0) * params.g**3 * integral)
-
-
-@pytest.mark.parametrize("N", [4, 16])
-def test_gamma_order3_cube_variant_matches_whole_cube_reference(model, N):
-    # up to 40 points the cube is one slab, so every node and sum is the
-    # reference's; beyond, the slab sums add in another order
-    for lam in (0.0, 0.5, 2.0):
-        for t in (0.5, 5.0, -1.5):
-            params, grid = model(N, lam, g=1.3)
-            for points in (8, 17, 40, 57):
-                got = gamma_order3_quadrature(params, grid, t, points, split_orderings=False)
-                ref = whole_cube_reference(params, grid, t, points)
-                if points <= 40:
-                    assert got == ref, (lam, t, points)
-                assert got.real == 0.0
-                assert abs(got - ref) <= 1e-14 * abs(ref), (lam, t, points)
-
-
-def test_gamma_order3_cube_variant_memory_bounded_by_block(model):
-    params, grid = model(16, 0.5, g=1.0)
-    tracemalloc.start()
-    try:
-        gamma_order3_quadrature(params, grid, 1.0, 96, split_orderings=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-
-
-def test_gamma3_cube_variant_second_order_convergence(model):
-    params, grid = model(16, 0.5, g=1.0)
-    t = 1.0
-    exact = gamma_order3(params, grid, t).imag
-    errs = [
-        abs(gamma_order3_quadrature(params, grid, t, points=n, split_orderings=False).imag
-            - exact) / abs(exact)
-        for n in (24, 48, 96)
-    ]
-    assert errs[0] < 2e-2
-    assert errs[1] < errs[0] / 2.5
-    assert errs[2] < errs[1] / 2.5
 
 
 def test_gamma3_validation_hook(model):
@@ -321,19 +245,6 @@ def test_gamma3_validation_detects_mismatch(model, monkeypatch):
     )
     with pytest.raises(QuadratureConvergenceError):
         gamma_order3(params, grid, 1.0, quadrature_points=32)
-
-
-def test_gamma3_requires_zero_temperature(model):
-    params, grid = model(8, 0.5, g=1.0, beta=2.0)
-    with pytest.raises(FiniteBetaError):
-        gamma_order3(params, grid, 1.0)
-    with pytest.raises(FiniteBetaError):
-        gamma_order3_quadrature(params, grid, 1.0)
-    with pytest.raises(FiniteBetaError):
-        gamma_series(params, grid, np.linspace(0, 1, 4), max_order=3)
-    # orders 1-2 stay available at finite temperature
-    terms = gamma_series(params, grid, np.linspace(0, 1, 4), max_order=2)
-    assert all(t.gamma3 == 0j for t in terms)
 
 
 def test_gamma_series_truncation_and_identity(model):
@@ -370,20 +281,16 @@ def test_gamma_series_values_do_not_depend_on_grid(model):
         t = float(ts[i])
         assert terms[i].gamma2 == gamma_order2(params, grid, t)
         assert terms[i].gamma3 == gamma_order3(params, grid, t)
-    hot, grid = model(20000, 0.7, g=0.9, beta=0.8)
-    terms = gamma_series(hot, grid, ts, max_order=2)
-    for i in (1, 64, 198):
-        assert terms[i].gamma2 == gamma_order2(hot, grid, float(ts[i]))
 
 
-def _allocating_mode_sums(params, grid, ts, max_order):
+def _allocating_mode_sums(grid, ts, max_order):
     """mode_sums' block walk with a fresh array for every operation."""
     s2 = np.zeros_like(ts)
     s3 = np.zeros_like(ts)
     if max_order >= 2:
         eps = grid.eps_pos
         two_eps = 2.0 * eps
-        w2 = (occupation(params.beta, eps) + 1.0) ** 2 / eps**2
+        w2 = 1.0 / eps**2
         w3 = grid.sin2theta_pos**2 / eps**3
         for k in mode_chunks(eps.size):
             for i in blocks(ts.size, two_eps[k].size):
@@ -400,13 +307,12 @@ def test_mode_sums_buffers_match_allocating_expression(model, T):
     """8266 half modes: chunks of 4096, 4096 and 74; the wide chunks walk blocks of
     16 times, so the last block (5 or 8 rows) reuses only part of the buffers."""
     ts = np.linspace(0.0, 6.5, T)
-    cases = [(model(16532, 0.8), order) for order in (1, 2, 3)]
-    cases.append((model(16532, 0.8, beta=1.3), 2))
-    for (params, grid), order in cases:
-        got = cumulants.mode_sums(params, grid, ts, order)
-        want = _allocating_mode_sums(params, grid, ts, order)
+    _, grid = model(16532, 0.8)
+    for order in (1, 2, 3):
+        got = cumulants.mode_sums(grid, ts, order)
+        want = _allocating_mode_sums(grid, ts, order)
         for a, b in zip(got, want):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (params.beta, order)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), order
 
 
 def test_gamma_series_memory_bounded_by_chunk(model):

@@ -7,36 +7,30 @@ import pytest
 
 import tfim_dephasing.exact as exact_mod
 from tfim_dephasing.exact import ANCHOR_ROWS
-from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, ModelParams, make_kgrid
+from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, ModelParams, _mode_data, make_kgrid
 from tfim_dephasing import (
     BranchTrackingError,
-    FiniteBetaError,
     KMode,
-    ab_magnitudes,
-    bogoliubov_angles,
     certify_closed_form,
-    dispersion,
     gamma_exact,
     gamma_for_series_comparison,
     gamma_order1,
     gamma_order2,
     gamma_order3,
-    gamma_series,
-    mode_abc,
     mode_overlap_closed_form,
-    mode_overlap_oracle,
 )
 
 
 def _mode(k, lam):
-    c, s = bogoliubov_angles(k, lam)
-    return KMode(k, dispersion(k, lam), c, s)
+    return KMode(k, *map(float, _mode_data(k, lam)))
 
 
 def test_oracle_identity_cases():
     mode = _mode(math.pi / 4, 0.5)
-    assert mode_overlap_oracle(mode, 0.0, 1.3) == pytest.approx(1.0, abs=1e-14)
-    assert mode_overlap_oracle(mode, 1.7, 0.0) == pytest.approx(1.0, abs=1e-14)
+    eps, s2 = np.array([mode.eps]), np.array([mode.sin2theta])
+    for g, t in ((0.0, 1.3), (1.7, 0.0)):
+        got = exact_mod._oracle_entries(eps, s2, g, np.array([t]))[0, 0]
+        assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def _rk4_overlaps(eps, s, g, ts, steps=4000):
@@ -67,8 +61,9 @@ def _rk4_overlaps(eps, s, g, ts, steps=4000):
 def test_oracle_against_rk4_stepping():
     mode = _mode(math.pi / 4, 0.5)
     g, t = 1.0, 0.7
-    overlap = _rk4_overlaps([mode.eps], [mode.sin2theta], g, [t])[0, 0]
-    got = mode_overlap_oracle(mode, g, t)
+    eps, s2 = np.array([mode.eps]), np.array([mode.sin2theta])
+    overlap = _rk4_overlaps(eps, s2, g, [t])[0, 0]
+    got = exact_mod._oracle_entries(eps, s2, g, np.array([t]))[0, 0]
     assert got == pytest.approx(complex(overlap), abs=1e-8)
     assert abs(got) <= 1.0 + 1e-12
 
@@ -94,12 +89,12 @@ def test_oracle_entries_identities_on_whole_grid(model):
 
 def test_closed_form_matches_oracle(model):
     _, grid = model(8, 0.5)
-    for mode in grid.positive_modes:
-        for g in (0.0, 0.3, 1.5):
-            for t in (0.3, 1.1, 2.7):
-                closed = mode_overlap_closed_form(mode, g, t)
-                oracle = mode_overlap_oracle(mode, g, t)
-                assert abs(closed - oracle) < 1e-12
+    ts = np.array([0.3, 1.1, 2.7])
+    for g in (0.0, 0.3, 1.5):
+        oracle = exact_mod._oracle_entries(grid.eps_pos, grid.sin2theta_pos, g, ts)
+        for j, mode in enumerate(grid.positive_modes):
+            for i, t in enumerate(ts.tolist()):
+                assert abs(mode_overlap_closed_form(mode, g, t) - oracle[i, j]) < 1e-12
 
 
 def test_certify_helper(model):
@@ -161,13 +156,14 @@ def test_legacy_coefficients_break_zero_coupling():
 
 
 def test_mode_abc_invariants():
+    """a, b and the overlap A_k of one mode."""
     mode = _mode(0.9, 1.3)
-    a, b = ab_magnitudes(mode, 0.0)
+    a, b, *_ = exact_mod._coefficients(mode.eps, mode.sin2theta, 0.0)
     assert a == b == pytest.approx(mode.eps, rel=1e-15)
-    rec = mode_abc(mode, 0.8, 1.7)
-    assert rec.a > 0 and rec.b > 0
-    assert abs(rec.A_entry) <= 1.0 + 1e-12
-    assert mode_abc(mode, 0.8, 0.0).A_entry == 1.0 + 0.0j
+    a, b, *_ = exact_mod._coefficients(mode.eps, mode.sin2theta, 0.8)
+    assert a > 0 and b > 0
+    assert abs(mode_overlap_closed_form(mode, 0.8, 1.7)) <= 1.0 + 1e-12
+    assert mode_overlap_closed_form(mode, 0.8, 0.0) == 1.0 + 0.0j
 
 
 def test_overlap_magnitude_bounded(model):
@@ -208,9 +204,6 @@ def test_gamma_exact_time_validation(model):
     for bad in ([0.0, np.nan], [0.0, np.inf], [np.nan]):
         with pytest.raises(ValueError, match="finite"):
             gamma_exact(params, grid, np.array(bad))
-    with pytest.raises(FiniteBetaError):
-        p_hot, _ = model(8, 0.5, g=0.2, beta=2.0)
-        gamma_exact(p_hot, grid, np.array([0.0, 1.0]))
 
 
 def test_gamma_exact_branch_tracking_consistency(model):
@@ -261,8 +254,7 @@ def test_gamma_exact_stepped_rows_match_closed_form(model, grid_kind, lam, g):
     params, grid = model(64, lam, g=g)
     ts = (_uneven_times(np.random.default_rng(40), 40, 6.0) if grid_kind == "uneven"
           else np.linspace(0.0, 6.0, 40))
-    entries = np.array([[mode_overlap_closed_form(m, g, float(t)) for m in grid.positive_modes]
-                        for t in ts])
+    entries = exact_mod._closed_form_entries(grid.eps_pos, grid.sin2theta_pos, g, ts)
     re_gap, im_gap = _normwise_gap(gamma_exact(params, grid, ts).gamma, entries)
     assert re_gap < 1e-11 and im_gap < 1e-11
 
@@ -272,8 +264,7 @@ def test_gamma_exact_thousands_of_stepped_rows(model):
     the rest stepped."""
     params, grid = model(8, 0.9, g=1.0)
     ts = _uneven_times(np.random.default_rng(5000), 5000, 50.0)
-    entries = np.array([[mode_overlap_closed_form(m, 1.0, float(t)) for m in grid.positive_modes]
-                        for t in ts])
+    entries = exact_mod._closed_form_entries(grid.eps_pos, grid.sin2theta_pos, 1.0, ts)
     re_gap, im_gap = _normwise_gap(gamma_exact(params, grid, ts).gamma, entries)
     assert re_gap < 1e-11 and im_gap < 1e-11
 

@@ -4,13 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tfim_dephasing import (
-    DegenerateModeError,
-    ModelParams,
-    bogoliubov_angles,
-    dispersion,
-    make_kgrid,
-)
+from tfim_dephasing import DegenerateModeError, ModelParams, make_kgrid
 from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, _mode_data, blocks, mode_chunks
 
 
@@ -37,29 +31,31 @@ def test_grid_critical_gap_n10000(model, mirrored):
 
 
 def test_angles_lambda0():
-    for k in (0.3, 1.2, 2.9):
-        c, s = bogoliubov_angles(k, 0.0)
-        assert c == pytest.approx(math.cos(k), abs=1e-15)
-        assert s == pytest.approx(math.sin(k), abs=1e-15)
+    ks = np.array([0.3, 1.2, 2.9])
+    eps, c, s = _mode_data(ks, 0.0)
+    assert np.array_equal(eps, np.full(3, 2.0))
+    assert np.max(np.abs(c - np.cos(ks))) <= 1e-15
+    assert np.max(np.abs(s - np.sin(ks))) <= 1e-15
 
 
 def test_angles_lambda1_kpi2():
-    c, s = bogoliubov_angles(math.pi / 2, 1.0)
+    eps, c, s = _mode_data(math.pi / 2, 1.0)
+    assert eps == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
     assert c == pytest.approx(-1 / math.sqrt(2), rel=1e-15)
     assert s == pytest.approx(1 / math.sqrt(2), rel=1e-15)
 
 
 def test_angles_large_lambda_limit():
-    c, s = bogoliubov_angles(1.1, 1e8)
+    _, c, s = _mode_data(1.1, 1e8)
     assert c == pytest.approx(-1.0, abs=1e-7)
     assert s == pytest.approx(0.0, abs=1e-7)
 
 
 def test_degenerate_guard():
     with pytest.raises(DegenerateModeError):
-        bogoliubov_angles(0.0, 1.0)
+        _mode_data(0.0, 1.0)
     with pytest.raises(DegenerateModeError):
-        dispersion(0.0, 1.0)
+        _mode_data(np.array([0.5, 0.0]), 1.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.97, 1.0, 2.0])
@@ -114,8 +110,8 @@ def test_dispersion_lower_bound(model, mirrored):
         dict(N=0, lam=0.5, g=0.1),
         dict(N=-4, lam=0.5, g=0.1),
         dict(N=4, lam=-0.1, g=0.1),
-        dict(N=4, lam=0.5, g=0.1, beta=0.0),
-        dict(N=4, lam=0.5, g=0.1, beta=-2.0),
+        dict(N=True, lam=0.5, g=0.1),
+        dict(N=4.0, lam=0.5, g=0.1),
         dict(N=4, lam=math.inf, g=0.1),
     ],
 )

@@ -245,9 +245,9 @@ def test_run_sweep_computes_mode_sums_once_per_lambda(tmp_path, monkeypatch):
     calls = []
     mode_sums = cumulants.mode_sums
 
-    def counting_mode_sums(params, *args):
-        calls.append(params.lam)
-        return mode_sums(params, *args)
+    def counting_mode_sums(grid, *args):
+        calls.append(grid.lam)
+        return mode_sums(grid, *args)
 
     for module in (cumulants, sweep_module):
         monkeypatch.setattr(module, "mode_sums", counting_mode_sums)
@@ -295,7 +295,7 @@ def reference_curve(config, lam, g):
     params = ModelParams(N=config.N, lam=lam, g=g)
     grid = make_kgrid(params)
     ts = np.linspace(0.0, config.t_max, config.t_steps)
-    s2, s3 = cumulants.mode_sums(params, grid, ts, config.orders)
+    s2, s3 = cumulants.mode_sums(grid, ts, config.orders)
     c1_value = c1(params, grid).value.real
     exact = gamma_exact(params, grid, ts).gamma.tolist() if config.emit_exact else None
     lines, t_star, max_diff = [CURVE_HEADER], None, None
@@ -823,3 +823,16 @@ def test_check_names_file_with_malformed_row(tmp_path, capsys, corrupt):
              "--t-steps", "9", "--out", config.outputs]
     assert main(["check", *flags]) == 1
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+def test_cubic_scaling_compares_only_couplings_with_a_normal_cube(tmp_path):
+    """|g|^3 = 1e-330 underflows to 0, where |Gamma3|/|g|^3 is 0/0 = nan, and nan
+    never exceeds the tolerance: such a coupling is left out of the verdict."""
+    config = small_config(tmp_path, gs=(1e-110, 0.5, 1.0), t_max=5.0, t_steps=64,
+                          emit_exact=False)
+    run_sweep(config)
+    scaling = [(r.subject, r.passed) for r in check_figures(config).results
+               if r.claim == "cubic coupling scaling"]
+    assert scaling == [("lambda=0.5, gs=0.5,1", True)]
+    one_left = dataclasses.replace(config, gs=(1e-110, 1.0))
+    assert all(r.claim != "cubic coupling scaling" for r in check_figures(one_left).results)

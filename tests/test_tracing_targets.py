@@ -1,11 +1,14 @@
-"""The benchmark's trace wrappers patch package attributes by name; a name
-that no longer resolves breaks a traced run, which the untraced runs never
-exercise."""
+"""Names that code outside the package looks up.  The benchmark's trace
+wrappers patch package attributes by name; a name that no longer resolves
+breaks a traced run, which the untraced runs never exercise."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+import tfim_dephasing
+from tfim_dephasing import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -23,3 +26,30 @@ def test_every_trace_target_resolves_in_the_package(tracing):
     for module, attr, name, _ in tracing.TARGETS:
         assert module.__name__.startswith("tfim_dephasing."), name
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
+
+
+def test_traced_sweep_and_check_record_every_layer(tracing, tmp_path, capsys):
+    """The wrappers see the calls a sweep with the exact route and the order-3
+    validation makes, and bind the attributes they record."""
+    flags = ["--N", "8", "--lambdas", "0.5", "--gs", "0.5,1", "--t-steps", "8",
+             "--out", str(tmp_path / "out")]
+    with tracing.Tracer() as tracer:
+        assert cli.main(["sweep", *flags, "--emit-exact", "--validate-order3",
+                         "--quadrature-points", "8", "--jobs", "1"]) == 0
+        assert cli.main(["check", *flags, "--jobs", "1"]) == 0
+    capsys.readouterr()
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span["name"], []).append(span)
+    for name in ("exact.gamma_exact", "cumulants.gamma_order3_quadrature", "sweep.run_sweep",
+                 "sweep.check_figures"):
+        assert spans.get(name), name
+    assert spans["cumulants.gamma_order3_quadrature"][0]["points"] == 8
+    assert spans["sweep.check_figures"][0]["claims_failed"] == 0
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from tfim_dephasing import *", namespace)
+    missing = [name for name in tfim_dephasing.__all__ if name not in namespace]
+    assert not missing
