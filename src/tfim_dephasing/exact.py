@@ -31,6 +31,15 @@ largest radius exceeds the other three together (a half-plane: no winding).  Wra
 follow np.unwrap's rule on arg B_k - rate_k t, exact where |B_k| at the two ends sums
 to more than width times speed_k; other intervals are halved at closed-form midpoints.
 The deterministic phase -2it(omega0 + g sum_k cos 2theta_k) is reported separately.
+
+Time is walked in blocks of rows per mode chunk, in buffers allocated once per call.
+Every ANCHOR_ROWS-th row of a block takes the closed form; each row between is the step
+phasors e^{iw(a+/-b)} of its width w times the previous row, one pair per distinct width
+in the block.  Re B_k and Im B_k go into planar rows: ln|B_k| =
+log(Re^2 + Im^2)/2, arg B_k = arctan2(Im, Re), and OVERLAP_FLOOR is checked on |B_k|^2.
+ANCHOR_ROWS stays 16 because a stepped phasor drifts off the unit circle by about an
+ulp per multiply, and that drift lands in ln|B_k|: 64-row anchors lose 0.4-0.5 digits
+of Re Gamma at g = 0.01.
 """
 
 import math
@@ -40,7 +49,8 @@ import numpy as np
 
 from .correlators import c1
 from .errors import BranchTrackingError
-from .model import KGrid, KMode, ModelParams, blocks, checked_times, mode_chunks
+from .model import (KGrid, KMode, ModelParams, block_rows, blocks, checked_times,
+                    mode_chunks)
 
 OVERLAP_FLOOR = 1e-12
 ANCHOR_ROWS = 16  # requested times stepped from one closed-form evaluation, at most
@@ -89,37 +99,41 @@ def _coefficients(eps, s2, g):
 
 
 def _phasors(coef, ts):
-    """e^{it(a+b)} and e^{it(a-b)} from cos and sin; ts broadcasts against the modes."""
-    x = np.stack([ts * coef[2], ts * coef[3]])  # (a+b or a-b, ...)
-    out = np.empty(x.shape, dtype=complex)
-    np.cos(x, out=out.real)
-    np.sin(x, out=out.imag)
-    return out[0], out[1]
+    """e^{it(a+b)} and e^{it(a-b)} from cos and sin, stacked on a leading axis of two;
+    ts broadcasts against the modes."""
+    out = np.empty((2, *np.broadcast(ts, coef[2]).shape), dtype=complex)
+    x = np.empty(out.shape[1:])
+    for phasor, freq in zip(out, coef[2:4]):  # a + b, then a - b
+        np.multiply(ts, freq, out=x)
+        np.cos(x, out=phasor.real)
+        np.sin(x, out=phasor.imag)
+    return out
+
+
+def _assemble_into(coef, ps, pd, re, im):
+    """Re and Im of B_k = e^{-4igt} A_k from the phasors ps, pd, written into re and im;
+    Im ps is overwritten."""
+    *_, hc, alpha, beta = coef
+    np.subtract(pd.real, ps.real, out=re)
+    re *= hc
+    re += pd.real
+    ps.imag *= alpha
+    np.multiply(pd.imag, beta, out=im)
+    im += ps.imag
+    np.negative(im, out=im)
 
 
 def _assemble(coef, ps, pd):
-    """B_k = e^{-4igt} A_k from the phasors ps, pd, written over pd."""
-    *_, hc, alpha, beta = coef
-    pd.real, pd.imag = pd.real + hc * (pd.real - ps.real), -(alpha * ps.imag + beta * pd.imag)
-    return pd
+    """B_k = e^{-4igt} A_k from the phasors ps, pd, as a new complex array."""
+    out = np.empty(pd.shape, dtype=complex)
+    _assemble_into(coef, ps, pd, out.real, out.imag)
+    return out
 
 
 def _closed_form_entries(eps, s2, g, ts):
     """Corrected closed-form overlaps A_k, vectorized over times (rows) and modes."""
     coef = _coefficients(eps, s2, g)
     return np.exp(4j * g * ts)[:, None] * _assemble(coef, *_phasors(coef, ts[:, None]))
-
-
-def _closed_form_rows(coef, ends, widths):
-    """B_k at times ``ends``: the closed form every ANCHOR_ROWS-th row, and between,
-    the previous row times e^{iw(a+/-b)}, one pair per distinct width w."""
-    anchors = np.arange(ends.size) % ANCHOR_ROWS == 0
-    values, rows = np.unique(np.where(anchors, ends, widths), return_inverse=True)
-    ps, pd = (p[rows] for p in _phasors(coef, values[:, None]))
-    for j in range(1, ANCHOR_ROWS):  # row j of every anchor's run at once
-        ps[j::ANCHOR_ROWS] *= ps[j - 1:-1:ANCHOR_ROWS]
-        pd[j::ANCHOR_ROWS] *= pd[j - 1:-1:ANCHOR_ROWS]
-    return _assemble(coef, ps, pd)
 
 
 def mode_overlap_closed_form(
@@ -160,20 +174,29 @@ def _circles(coef):
     return rate, np.where(2.0 * np.max(radius, axis=0) > np.sum(radius, axis=0), 0.0, speed)
 
 
-def _wraps(turn, width, rate):
+def _wraps(turn, width, rate, out=None):
     """2 pi wraps of arg B_k over a width whose principal args move by ``turn``."""
-    return np.rint((width * rate - turn) * (0.5 / np.pi))  # np.unwrap's rule, minus rate t
+    out = np.multiply(width, rate, out=out)
+    out -= turn
+    out *= 0.5 / np.pi
+    return np.rint(out, out=out)  # np.unwrap's rule, minus rate t
+
+
+def _check_floor(mag2, ts, k_pos):
+    """Raises BranchTrackingError where |B_k|^2 = ``mag2`` < OVERLAP_FLOOR^2 (ts, k_pos
+    broadcast against it)."""
+    if mag2.min() < OVERLAP_FLOOR**2:
+        i = int(np.argmin(mag2))
+        t, k = (np.broadcast_to(x, mag2.shape).flat[i] for x in (ts, k_pos))
+        raise BranchTrackingError(f"overlap magnitude {math.sqrt(mag2.flat[i]):.3e} below "
+                                  f"{OVERLAP_FLOOR} at t={t}, k={k}")
 
 
 def _checked_angles(entries, ts, k_pos):
-    """Magnitudes and angles of the overlaps (ts, k_pos broadcast); raises below OVERLAP_FLOOR."""
-    mags = np.abs(entries)
-    if np.any(mags < OVERLAP_FLOOR):
-        i = int(np.argmin(mags))
-        t, k = (np.broadcast_to(x, mags.shape).flat[i] for x in (ts, k_pos))
-        raise BranchTrackingError(
-            f"overlap magnitude {mags.flat[i]:.3e} below {OVERLAP_FLOOR} at t={t}, k={k}")
-    return mags, np.angle(entries)
+    """|B_k| and arg B_k of the overlaps ``entries`` (ts, k_pos broadcast), floor-checked."""
+    mag2 = entries.real * entries.real + entries.imag * entries.imag
+    _check_floor(mag2, ts, k_pos)
+    return np.sqrt(mag2), np.arctan2(entries.imag, entries.real)
 
 
 def _bisected_wraps(coef, k_pos, t, mags, arg):
@@ -195,6 +218,23 @@ def _bisected_wraps(coef, k_pos, t, mags, arg):
     return wraps
 
 
+def _row_phasors(chunk, p, ends, widths):
+    """e^{it(a+b)} and e^{it(a-b)} at times ``ends`` into p (2, rows, modes): the closed
+    form every ANCHOR_ROWS-th row, and between, the step phasors e^{iw(a+/-b)} of the
+    row's width w times the previous row, one pair per distinct width."""
+    stepped = np.arange(ends.size) % ANCHOR_ROWS > 0
+    if stepped.any():
+        # return_inverse also keeps np.unique from importing numpy.ma (in every fresh worker)
+        values, inverse = np.unique(widths[stepped], return_inverse=True)
+        index = np.zeros(ends.size, dtype=int)
+        index[stepped] = inverse
+        np.take(_phasors(chunk, values[:, None]), index, axis=1, out=p, mode="clip")
+    p[:, ::ANCHOR_ROWS] = _phasors(chunk, ends[::ANCHOR_ROWS, None])
+    for j in range(1, min(ends.size, ANCHOR_ROWS)):  # row j of every anchor's run at once
+        np.multiply(p[:, j::ANCHOR_ROWS], p[:, j - 1:-1:ANCHOR_ROWS], out=p[:, j::ANCHOR_ROWS])
+    return p
+
+
 def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> DecoherenceCurve:
     """Exact Gamma(t) = sum_{k>0} ln A_k(t), branches by the module docstring's rule.
 
@@ -208,27 +248,48 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
     # 4gt mod 2 pi joins each arg, its whole turns the wraps (2gNt after the sum cancels)
     whole, trace = np.divmod(4.0 * g * ts, 2.0 * np.pi)
     gamma, trace = np.zeros(ts.size, dtype=complex), trace[:, None]
-    for k in mode_chunks(coef[0].size):
-        k_pos, chunk = grid.k_pos[k], [c[k] for c in coef]
-        rate, speed = _circles(chunk)
-        tracked = np.flatnonzero(speed)  # modes whose B_k e^{-i rate_k t} may wind
-        end_mags, end_arg, end_turns = np.ones(k_pos.size), np.zeros(k_pos.size), 0.0
-        for blk in blocks(ts.size, k_pos.size):
-            b = _closed_form_rows(chunk, ts[blk], widths[blk])
-            # row i of mags and arg is at t_all[blk.start + i]
-            mags, arg = (np.vstack([end, x]) for end, x in
-                         zip((end_mags, end_arg), _checked_angles(b, ts[blk, None], k_pos)))
+    rate, speed = _circles(coef)
+    # per chunk: its modes, those whose B_k e^{-i rate_k t} may wind, and rows per block
+    chunks = [(k, np.flatnonzero(speed[k]), min(ts.size, block_rows(rate[k].size)))
+              for k in mode_chunks(rate.size)]
+    # flat buffers for the largest block: a block of m rows views their leading elements,
+    # and arg and mags keep the previous block's last row as their row 0
+    size = max(rows * rate[k].size for k, _, rows in chunks)
+    phasor_buf, re_buf, im_buf = np.empty(2 * size, dtype=complex), np.empty(size), np.empty(size)
+    arg_buf = np.empty(max((rows + 1) * rate[k].size for k, _, rows in chunks))
+    mags_buf = np.empty(max((rows + 1) * tracked.size for _, tracked, rows in chunks))
+    for k, tracked, rows in chunks:
+        k_pos, chunk, n = grid.k_pos[k], [c[k] for c in coef], rate[k].size
+        rate_k, speed_k = rate[k], speed[k][tracked]
+        arg_buf[:n], mags_buf[:tracked.size], end_turns = 0.0, 1.0, 0.0
+        for blk in blocks(ts.size, n):
+            m = ts[blk].size
+            ps, pd = _row_phasors(chunk, phasor_buf[:2 * m * n].reshape(2, m, n), ts[blk],
+                                  widths[blk])
+            re, im = (x[:m * n].reshape(m, n) for x in (re_buf, im_buf))
+            arg = arg_buf[:(m + 1) * n].reshape(m + 1, n)  # row i at t_all[blk.start + i]
+            mags = mags_buf[:(m + 1) * tracked.size].reshape(m + 1, tracked.size)
+            _assemble_into(chunk, ps, pd, re, im)
+            np.arctan2(im, re, out=arg[1:])
+            np.multiply(re, re, out=re)
+            np.multiply(im, im, out=im)
+            mag2 = np.add(re, im, out=re)
+            _check_floor(mag2, ts[blk, None], k_pos)
+            np.sqrt(np.take(mag2, tracked, axis=1, out=mags[1:], mode="clip"), out=mags[1:])
+            log_mags = 0.5 * np.log(mag2, out=mag2).sum(axis=1)
             h = widths[blk, None]
-            wraps = _wraps(np.diff(arg, axis=0), h, rate)
-            rows, cols = np.nonzero(mags[:-1, tracked] + mags[1:, tracked] <= h * speed[tracked])
-            ends, cols = np.stack([rows, rows + 1]), tracked[cols]
-            wraps[rows, cols] = _bisected_wraps([c[cols] for c in chunk], k_pos[cols],
-                                                t_all[blk.start + ends], mags[ends, cols],
-                                                arg[ends, cols])
+            wraps = _wraps(np.subtract(arg[1:], arg[:-1], out=im), h, rate_k, out=re)
+            lo, cols = np.nonzero(mags[:-1] + mags[1:] <= h * speed_k)  # uncertified
+            if lo.size:
+                ends, modes = np.stack([lo, lo + 1]), tracked[cols]
+                wraps[lo, modes] = _bisected_wraps(
+                    [c[modes] for c in chunk], k_pos[modes], t_all[blk.start + ends],
+                    mags[ends, cols], arg[ends, modes])
             turns = end_turns + np.cumsum(wraps.sum(axis=1))  # wraps summed over modes
-            im = (arg[1:] + trace[blk]).sum(axis=1) + 2 * np.pi * (turns + k_pos.size * whole[blk])
-            gamma[blk] += np.log(mags[1:]).sum(axis=1) + 1j * im
-            end_mags, end_arg, end_turns = mags[-1].copy(), arg[-1].copy(), turns[-1]
+            im_part = (np.add(arg[1:], trace[blk], out=im).sum(axis=1)
+                       + 2 * np.pi * (turns + n * whole[blk]))
+            gamma[blk] += log_mags + 1j * im_part
+            arg[0], mags[0], end_turns = arg[m], mags[m], turns[-1]
 
     phase = -2j * ts * (params.omega0 + g * c1(params, grid).value.real)
     return DecoherenceCurve(ts, gamma, phase, params)

@@ -71,9 +71,14 @@ def mode_chunks(n: int):
     return (slice(lo, lo + MODE_CHUNK) for lo in range(0, n, MODE_CHUNK))
 
 
+def block_rows(width: int) -> int:
+    """Rows of ``width`` elements in one block: max(1, BLOCK_ELEMENTS // width)."""
+    return max(1, BLOCK_ELEMENTS // max(width, 1))
+
+
 def blocks(n: int, width: int):
-    """Slices of max(1, BLOCK_ELEMENTS // width) rows of ``width`` elements covering range(n)."""
-    rows = max(1, BLOCK_ELEMENTS // max(width, 1))
+    """Slices of ``block_rows(width)`` rows covering range(n)."""
+    rows = block_rows(width)
     return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
 

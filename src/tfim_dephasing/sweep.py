@@ -339,10 +339,11 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
     """Evaluate the qualitative regime claims against a finished sweep.
 
     Claims:
-      - weak coupling (|g| <= WEAK_G_MAX, lam > 0): |Gamma3(t)| < |Gamma2(t)| at
-        every sampled t > 0.  (lam = 0 is excluded: its flat dispersion makes
-        |Gamma2| revive through zero periodically, so the pointwise ordering
-        is not meaningful there.)
+      - weak coupling (|g| <= WEAK_G_MAX with a normal |g|^3, lam > 0): |Gamma3(t)| <
+        |Gamma2(t)| at every sampled t > 0.  (lam = 0 is excluded: its flat
+        dispersion makes |Gamma2| revive through zero periodically, so the
+        pointwise ordering is not meaningful there.  Below a normal |g|^3,
+        Gamma3 can underflow to 0, and the ordering would pass vacuously.)
       - strong coupling (|g| >= STRONG_G_MIN): some sampled t* has
         |Gamma3(t*)| > |Gamma2(t*)|.
       - cubic coupling scaling: |Gamma3|/|g|^3 is the same curve for every g
@@ -373,7 +374,7 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
     for (lam, g), cur in curves.items():
         subject = f"lambda={lam:g}, g={g:g}"
         mask = cur["t"] > 0.0
-        if 0.0 < abs(g) <= WEAK_G_MAX and lam > 0.0:
+        if _cube_is_normal(g) and abs(g) <= WEAK_G_MAX and lam > 0.0:
             bad = mask & ~(cur["abs_g3"] < cur["abs_g2"])
             if bad.any():
                 t_bad = cur["t"][bad][0]

@@ -341,9 +341,42 @@ def test_closed_form_strong_coupling_against_extended_precision(model, lam, g):
     assert np.max(np.abs(got - (p00 * m00 + p01 * m10))) < 1e-11
 
 
+def _longdouble_overlaps(grid, g, ts):
+    """A_k at times ``ts`` (rows) from the pair generators exponentiated in long double."""
+    eps = grid.eps_pos.astype(np.longdouble)
+    gl, tau = np.longdouble(g), ts.astype(np.longdouble)[:, None]
+    coupling = 1j * gl * grid.sin2theta_pos.astype(np.longdouble)
+    p00, p01, _ = _longdouble_su2(-eps, coupling, eps - 4 * gl, tau)  # e^{-it(H + gB)}
+    m00, _, m10 = _longdouble_su2(-eps, -coupling, eps + 4 * gl, -tau)  # e^{+it(H - gB)}
+    return p00 * m00 + p01 * m10
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than double here")
+@pytest.mark.parametrize("lam, re_bound, im_bound", [(0.5, 3.4e-12, 1.0e-12),
+                                                     (2.0, 3.4e-11, 1.5e-11)])
+def test_gamma_exact_weak_coupling_rows_against_extended_precision(model, lam, re_bound,
+                                                                   im_bound):
+    """Every row of a 64-time grid at weak coupling, where |B_k| = 1 - O(g^2 t^2) and a
+    stepped phasor's drift in magnitude goes straight into ln|B_k|.  The bounds are
+    twice the errors with ln|B_k| taken from np.abs of a complex B_k (1.7e-12 and
+    1.7e-11 for Re, 5.2e-13 and 7.6e-12 for Im); anchors every 64 rows give Re
+    errors of 5.3e-12 and 4.1e-11."""
+    params, grid = model(1000, lam, g=0.01)
+    ts = np.linspace(0.0, 5.0, 64)
+    entries = _longdouble_overlaps(grid, 0.01, ts)
+    re_gap, im_gap = _normwise_gap(gamma_exact(params, grid, ts).gamma, entries)
+    assert re_gap < re_bound
+    assert im_gap < im_bound
+
+
 def test_gamma_exact_memory_bounded_by_block(model):
+    # the third case has 511 distinct widths: a table of all their step phasors would
+    # take about 67 MB at N = 20000, so they are taken per block
     for N, lam, g, ts, bound in [(8000, 0.9, 2.5, np.linspace(0, 30, 32), 16e6),
-                                 (20000, 0.0, 1.0, np.linspace(0, 5, 64), 8e6)]:
+                                 (20000, 0.0, 1.0, np.linspace(0, 5, 64), 8e6),
+                                 (20000, 0.5, 1.0,
+                                  _uneven_times(np.random.default_rng(512), 512, 5.0), 8e6)]:
         params, grid = model(N, lam, g=g)
         tracemalloc.start()
         try:
@@ -438,9 +471,12 @@ def test_gamma_exact_floor_checked_at_bisection_midpoints(model, monkeypatch):
 
 def test_gamma_exact_overlap_floor_guard(model, monkeypatch):
     params, grid = model(8, 0.5, g=1.0)
+    ts = np.linspace(0, 4, 17)
     monkeypatch.setattr(exact_mod, "OVERLAP_FLOOR", 0.5)
-    with pytest.raises(BranchTrackingError):
-        gamma_exact(params, grid, np.linspace(0, 4, 17))
+    with pytest.raises(BranchTrackingError, match=r"below 0\.5 at t=.+, k=") as err:
+        gamma_exact(params, grid, ts)
+    t, k = (float(x) for x in str(err.value).split("at t=")[1].split(", k="))
+    assert t in ts.tolist() and k in grid.k_pos.tolist()
 
 
 def test_series_comparison_first_order_alignment(model):

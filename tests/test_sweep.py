@@ -836,3 +836,22 @@ def test_cubic_scaling_compares_only_couplings_with_a_normal_cube(tmp_path):
     assert scaling == [("lambda=0.5, gs=0.5,1", True)]
     one_left = dataclasses.replace(config, gs=(1e-110, 1.0))
     assert all(r.claim != "cubic coupling scaling" for r in check_figures(one_left).results)
+
+
+def test_weak_coupling_ordering_needs_a_normal_cube(tmp_path, capsys):
+    """At g = 1e-110, g^3 underflows and abs_g3 is 0 at every t, so |Gamma3| <
+    |Gamma2| would pass vacuously: no weak-coupling verdict for that coupling,
+    and the g = 1 verdicts are those of a sweep without it."""
+    out = tmp_path / "out"
+    flags = ["--N", "16", "--lambdas", "0.5", "--t-max", "5", "--t-steps", "64",
+             "--out", str(out)]
+    verdicts = {}
+    for gs in ("1e-110,1", "1"):
+        assert main(["sweep", *flags, "--gs", gs]) == 0
+        capsys.readouterr()
+        main(["check", *flags, "--gs", gs])
+        verdicts[gs] = capsys.readouterr().out.splitlines()
+    assert not any("g=1e-110" in line for line in verdicts["1e-110,1"])
+    assert not any("weak-coupling" in line for line in verdicts["1e-110,1"])
+    assert [line for line in verdicts["1e-110,1"] if "g=1)" in line] == \
+        [line for line in verdicts["1"] if "g=1)" in line] != []
