@@ -35,8 +35,9 @@ The deterministic phase -2it(omega0 + g sum_k cos 2theta_k) is reported separate
 Time is walked in blocks of rows per mode chunk, in buffers allocated once per call.
 Every ANCHOR_ROWS-th row of a block takes the closed form; each row between is the step
 phasors e^{iw(a+/-b)} of its width w times the previous row, one pair per distinct width
-in the block.  Re B_k and Im B_k go into planar rows: ln|B_k| =
-log(Re^2 + Im^2)/2, arg B_k = arctan2(Im, Re), and OVERLAP_FLOOR is checked on |B_k|^2.
+in the block.  Block rows, bisection midpoints and closed-form entries share one planar
+pair Re B_k, Im B_k (``_assemble``); ``_angles`` takes arg B_k = arctan2(Im, Re) and
+|B_k|^2 = Re^2 + Im^2 from it, checked against OVERLAP_FLOOR.
 ANCHOR_ROWS stays 16 because a stepped phasor drifts off the unit circle by about an
 ulp per multiply, and that drift lands in ln|B_k|: 64-row anchors lose 0.4-0.5 digits
 of Re Gamma at g = 0.01.
@@ -110,30 +111,26 @@ def _phasors(coef, ts):
     return out
 
 
-def _assemble_into(coef, ps, pd, re, im):
-    """Re and Im of B_k = e^{-4igt} A_k from the phasors ps, pd, written into re and im;
-    Im ps is overwritten."""
+def _assemble(coef, ps, pd, re=None, im=None):
+    """Re B_k and Im B_k, B_k = e^{-4igt} A_k, from the phasors ps, pd (into re and im
+    when given); Im ps is overwritten."""
     *_, hc, alpha, beta = coef
-    np.subtract(pd.real, ps.real, out=re)
+    re = np.subtract(pd.real, ps.real, out=re)
     re *= hc
     re += pd.real
     ps.imag *= alpha
-    np.multiply(pd.imag, beta, out=im)
+    im = np.multiply(pd.imag, beta, out=im)
     im += ps.imag
-    np.negative(im, out=im)
-
-
-def _assemble(coef, ps, pd):
-    """B_k = e^{-4igt} A_k from the phasors ps, pd, as a new complex array."""
-    out = np.empty(pd.shape, dtype=complex)
-    _assemble_into(coef, ps, pd, out.real, out.imag)
-    return out
+    return re, np.negative(im, out=im)
 
 
 def _closed_form_entries(eps, s2, g, ts):
     """Corrected closed-form overlaps A_k, vectorized over times (rows) and modes."""
     coef = _coefficients(eps, s2, g)
-    return np.exp(4j * g * ts)[:, None] * _assemble(coef, *_phasors(coef, ts[:, None]))
+    ps, pd = _phasors(coef, ts[:, None])
+    b = np.empty(pd.shape, dtype=complex)
+    _assemble(coef, ps, pd, b.real, b.imag)
+    return np.exp(4j * g * ts)[:, None] * b
 
 
 def mode_overlap_closed_form(
@@ -182,21 +179,21 @@ def _wraps(turn, width, rate, out=None):
     return np.rint(out, out=out)  # np.unwrap's rule, minus rate t
 
 
-def _check_floor(mag2, ts, k_pos):
-    """Raises BranchTrackingError where |B_k|^2 = ``mag2`` < OVERLAP_FLOOR^2 (ts, k_pos
-    broadcast against it)."""
+def _angles(coef, ps, pd, ts, k_pos, re=None, im=None, arg=None):
+    """arg B_k and |B_k|^2 from the phasors ps, pd (into arg and re when given; im is
+    scratch).  Raises BranchTrackingError, naming t and k (ts, k_pos broadcast against
+    B_k), where |B_k| < OVERLAP_FLOOR."""
+    re, im = _assemble(coef, ps, pd, re, im)
+    arg = np.arctan2(im, re, out=arg)
+    np.multiply(re, re, out=re)
+    np.multiply(im, im, out=im)
+    mag2 = np.add(re, im, out=re)
     if mag2.min() < OVERLAP_FLOOR**2:
         i = int(np.argmin(mag2))
         t, k = (np.broadcast_to(x, mag2.shape).flat[i] for x in (ts, k_pos))
         raise BranchTrackingError(f"overlap magnitude {math.sqrt(mag2.flat[i]):.3e} below "
                                   f"{OVERLAP_FLOOR} at t={t}, k={k}")
-
-
-def _checked_angles(entries, ts, k_pos):
-    """|B_k| and arg B_k of the overlaps ``entries`` (ts, k_pos broadcast), floor-checked."""
-    mag2 = entries.real * entries.real + entries.imag * entries.imag
-    _check_floor(mag2, ts, k_pos)
-    return np.sqrt(mag2), np.arctan2(entries.imag, entries.real)
+    return arg, mag2
 
 
 def _bisected_wraps(coef, k_pos, t, mags, arg):
@@ -208,7 +205,8 @@ def _bisected_wraps(coef, k_pos, t, mags, arg):
         if np.any((mid == t[0]) | (mid == t[1])):  # |B_k| < ulp(t) speed_k at both ends
             raise BranchTrackingError(f"cannot halve an interval before t={np.max(t)}")
         c = [x[piece] for x in coef]
-        mid_mags, mid_arg = _checked_angles(_assemble(c, *_phasors(c, mid)), mid, k_pos[piece])
+        mid_arg, mag2 = _angles(c, *_phasors(c, mid), mid, k_pos[piece])
+        mid_mags = np.sqrt(mag2)
         piece = np.concatenate([piece, piece])  # lower halves, then upper halves
         t, mags, arg = (np.hstack([[x[0], x_mid], [x_mid, x[1]]])
                         for x, x_mid in ((t, mid), (mags, mid_mags), (arg, mid_arg)))
@@ -269,12 +267,7 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
             re, im = (x[:m * n].reshape(m, n) for x in (re_buf, im_buf))
             arg = arg_buf[:(m + 1) * n].reshape(m + 1, n)  # row i at t_all[blk.start + i]
             mags = mags_buf[:(m + 1) * tracked.size].reshape(m + 1, tracked.size)
-            _assemble_into(chunk, ps, pd, re, im)
-            np.arctan2(im, re, out=arg[1:])
-            np.multiply(re, re, out=re)
-            np.multiply(im, im, out=im)
-            mag2 = np.add(re, im, out=re)
-            _check_floor(mag2, ts[blk, None], k_pos)
+            _, mag2 = _angles(chunk, ps, pd, ts[blk, None], k_pos, re, im, arg[1:])
             np.sqrt(np.take(mag2, tracked, axis=1, out=mags[1:], mode="clip"), out=mags[1:])
             log_mags = 0.5 * np.log(mag2, out=mag2).sum(axis=1)
             h = widths[blk, None]

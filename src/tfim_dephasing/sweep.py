@@ -73,6 +73,10 @@ class SweepConfig:
     correlators: bool = field(default=False, metadata={
         "help": "dump correlator values instead of decoherence curves"})
 
+    def times(self) -> np.ndarray:
+        """The t column of every curve and correlator file; ``check`` wants it bit for bit."""
+        return np.linspace(0.0, self.t_max, self.t_steps)
+
     def validate(self):
         if not self.lambdas or not self.gs:
             raise ValueError("lambdas and gs must be non-empty")
@@ -170,7 +174,7 @@ def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
     k-grid, c1 and g-free series mode sums are computed once, the exact route per g."""
     params = ModelParams(N=config.N, lam=lam, g=0.0)
     grid = make_kgrid(params)
-    ts = np.linspace(0.0, config.t_max, config.t_steps)
+    ts = config.times()
     sums = mode_sums(grid, ts, config.orders)
     c1_value = c1(params, grid).value.real
     near_critical = int(abs(1.0 - lam) <= NEAR_CRITICAL_WINDOW)
@@ -218,7 +222,7 @@ def _sweep_task(payload):
 
 
 def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
-    ts = np.linspace(0.0, config.t_max, config.t_steps)
+    ts = config.times()
     written = []
     for lam in dict.fromkeys(config.lambdas):
         params = ModelParams(N=config.N, lam=lam, g=0.0)
@@ -356,7 +360,7 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
         raise ValueError(f"check needs orders = 3, got {config.orders}: the regime claims "
                          "compare Gamma2 with Gamma3")
     outdir = Path(config.outputs)
-    ts = np.linspace(0.0, config.t_max, config.t_steps)
+    ts = config.times()
     curves = {}
     for lam in config.lambdas:
         for g in config.gs:

@@ -441,14 +441,13 @@ def test_gamma_exact_oracle_route_matches(model):
     assert np.max(np.abs(fast - oracle)) < 1e-11
 
 
-def test_bisection_stops_at_adjacent_floats(model, monkeypatch):
-    """A one-ulp interval at t = 1e4 with |B_k| at the floor at both ends and at
-    the midpoint fails the certificate but cannot be halved: an error, not an
-    endless loop."""
+def test_bisection_stops_at_adjacent_floats(model):
+    """A one-ulp interval at t = 1e4 with |B_k| at the floor at both ends fails the
+    certificate, and its midpoint rounds to an end, so it cannot be halved: an
+    error before any midpoint is evaluated, not an endless loop."""
     _, grid = model(16, 0.0)
     coef = [c[3:4] for c in exact_mod._coefficients(grid.eps_pos, grid.sin2theta_pos, 1.0)]
     assert exact_mod._circles(coef)[1][0] * np.spacing(1e4) > 2e-12
-    monkeypatch.setattr(exact_mod, "_assemble", lambda c, ps, pd: np.full(ps.shape, 1e-12 + 0j))
     t = np.array([[1e4], [np.nextafter(1e4, 2e4)]])
     with pytest.raises(BranchTrackingError, match="cannot halve"):
         exact_mod._bisected_wraps(coef, grid.k_pos[3:4], t, np.full((2, 1), 1e-12),
@@ -463,10 +462,11 @@ def test_gamma_exact_floor_checked_at_bisection_midpoints(model, monkeypatch):
     entries = exact_mod._closed_form_entries(grid.eps_pos, grid.sin2theta_pos, 1.0, ts)
     assert np.min(np.abs(entries)) > 0.1
     monkeypatch.setattr(exact_mod, "OVERLAP_FLOOR", 0.01)
-    with pytest.raises(BranchTrackingError, match="below 0.01 at t=") as err:
+    with pytest.raises(BranchTrackingError, match=r"below 0\.01 at t=.+, k=") as err:
         gamma_exact(params, grid, ts)
-    t = float(str(err.value).split("t=")[1].split(",")[0])
+    t, k = (float(x) for x in str(err.value).split("at t=")[1].split(", k="))
     assert 0.0 < t < 5.0 and np.min(np.abs(ts - t)) > 0.1
+    assert k in grid.k_pos.tolist()
 
 
 def test_gamma_exact_overlap_floor_guard(model, monkeypatch):
