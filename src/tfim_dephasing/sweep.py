@@ -34,7 +34,7 @@ from .correlators import c1, c2_values, c3_values
 from .cumulants import check_quadrature_points, gamma_order3, mode_sums, scaled_terms
 from .cumulants import gamma_series  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .exact import gamma_exact
-from .model import ModelParams, make_kgrid
+from .model import ModelParams, checked_times, make_kgrid
 
 CURVE_HEADER = (
     "t,re_g1,im_g1,re_g2,im_g2,re_g3,im_g3,"
@@ -77,6 +77,12 @@ class SweepConfig:
         """The t column of every curve and correlator file; ``check`` wants it bit for bit."""
         return np.linspace(0.0, self.t_max, self.t_steps)
 
+    def curves(self) -> dict[str, tuple[float, float]]:
+        """Each distinct curve file name with its (lambda, g), in sweep order.  Points
+        are told apart by their file names, so lambda = 0 and -0 are two curves;
+        validate() makes equal names mean equal points."""
+        return {curve_filename(lam, g): (lam, g) for lam in self.lambdas for g in self.gs}
+
     def validate(self):
         if not self.lambdas or not self.gs:
             raise ValueError("lambdas and gs must be non-empty")
@@ -84,6 +90,11 @@ class SweepConfig:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.t_steps < 2:
             raise ValueError(f"t_steps must be >= 2, got {self.t_steps}")
+        try:
+            checked_times(self.times())
+        except ValueError:
+            raise ValueError(f"t_max={self.t_max:g} with t_steps={self.t_steps} repeats a time; "
+                             "raise t_max or lower t_steps") from None
         if self.orders not in (1, 2, 3):
             raise ValueError(f"orders must be 1, 2 or 3, got {self.orders}")
         check_quadrature_points(self.quadrature_points)
@@ -189,13 +200,22 @@ def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
         pairs = [x for z in (*terms, exact) for x in (z.real, z.imag)]  # re_*, im_* columns
         rows = np.column_stack([ts, *pairs, abs_g2, abs_g3]).tolist()
         out.append((_csv(CURVE_HEADER, rows),
-                    (lam, g, _t_star(ts, abs_g2, abs_g3), max_diff, near_critical)))
+                    (lam, g, _first_t(ts, abs_g3 > abs_g2), max_diff, near_critical)))
     return out
 
 
-def _t_star(ts: np.ndarray, abs_g2: np.ndarray, abs_g3: np.ndarray) -> float | None:
-    """The first sampled t with |Gamma3| > |Gamma2|, or None."""
-    return next(iter(ts[abs_g3 > abs_g2].tolist()), None)
+def _first_t(ts: np.ndarray, where: np.ndarray) -> float | None:
+    """The first sampled t where ``where`` holds, or None."""
+    return next(iter(ts[where].tolist()), None)
+
+
+def _by_lambda(points) -> list[tuple[float, list[float]]]:
+    """Each distinct lambda of the (lambda, g) points with its couplings, in order;
+    lambdas are keyed as in the file names, so 0 and -0 stay apart."""
+    by_lam = {}
+    for lam, g in points:
+        by_lam.setdefault(f"{lam:g}", (lam, []))[1].append(g)
+    return list(by_lam.values())
 
 
 def _write_text(path: Path, text: str):
@@ -224,7 +244,7 @@ def _sweep_task(payload):
 def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
     ts = config.times()
     written = []
-    for lam in dict.fromkeys(config.lambdas):
+    for lam, _ in _by_lambda(config.curves().values()):
         params = ModelParams(N=config.N, lam=lam, g=0.0)
         grid = make_kgrid(params)
         c1s = np.full_like(ts, c1(params, grid).value.real)
@@ -247,18 +267,14 @@ def run_sweep(config: SweepConfig) -> list[Path]:
     if config.validate_order3 and config.orders >= 3:
         _validate_order3_once(config)
 
-    # a repeated point is computed once but keeps its summary rows; validate()
-    # makes equal file names mean equal points
-    points = [(lam, g) for lam in config.lambdas for g in config.gs]
-    names = [curve_filename(lam, g) for lam, g in points]
-    unique = dict(zip(names, points))
-    # one task per distinct lambda (keyed as in the file names: 0 and -0 stay
-    # apart); with fewer lambdas than jobs, ceil(jobs / #lambda) strided parts
-    by_lam = {}
-    for lam, g in unique.values():
-        by_lam.setdefault(f"{lam:g}", (lam, []))[1].append(g)
+    # a repeated point is computed once but keeps its summary rows
+    names = [curve_filename(lam, g) for lam in config.lambdas for g in config.gs]
+    unique = config.curves()
+    # one task per distinct lambda; with fewer lambdas than jobs,
+    # ceil(jobs / #lambda) strided parts
+    by_lam = _by_lambda(unique.values())
     parts = -(-config.jobs // len(by_lam))
-    payloads = [(config, lam, gs[j::parts]) for lam, gs in by_lam.values()
+    payloads = [(config, lam, gs[j::parts]) for lam, gs in by_lam
                 for j in range(min(parts, len(gs)))]
     if config.jobs > 1:
         # under fork the pool starts every worker at the first submit
@@ -280,12 +296,10 @@ def _validate_order3_once(config: SweepConfig):
     integration; it runs on a reduced grid (<= VALIDATION_MODES modes) to keep
     the reference integration affordable.
     """
-    candidates = [(lam, g) for lam in config.lambdas for g in config.gs if g != 0.0]
-    if not candidates:
+    point = next(((lam, g) for lam, g in config.curves().values() if g != 0.0), None)
+    if point is None:
         return
-    lam, g = candidates[0]
-    n_val = min(config.N, VALIDATION_MODES)
-    params = ModelParams(N=n_val, lam=lam, g=g)
+    params = ModelParams(min(config.N, VALIDATION_MODES), *point)
     gamma_order3(params, make_kgrid(params), config.t_max,
                  quadrature_points=config.quadrature_points)
 
@@ -307,15 +321,18 @@ class FigureCheckReport:
         return all(r.passed for r in self.results)
 
     def format(self) -> str:
-        lines = []
-        for r in self.results:
-            lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.claim} ({r.subject}): {r.detail}")
+        lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.claim} ({r.subject}): {r.detail}"
+                 for r in self.results]
         lines.append(f"check_figures: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
 
-def _read_curve(path: Path, ts: np.ndarray) -> dict[str, np.ndarray]:
-    """The columns of one curve file; ValueError unless its rows are at the times ts."""
+def _read_curve(path: Path, ts: np.ndarray, g: float) -> dict[str, np.ndarray]:
+    """The columns of the curve file of coupling g; ValueError unless it exists and
+    its rows are 13 numbers at the times ts, with abs_g3 nonzero at some t > 0
+    where |g|^3 is a normal float (else the file was written with orders < 3)."""
+    if not path.exists():
+        raise ValueError(f"missing sweep output {path}; run the sweep first")
     lines = path.read_text().splitlines()
     if not lines or lines[0] != CURVE_HEADER:
         raise ValueError(f"{path}: unexpected or missing curve header")
@@ -331,7 +348,12 @@ def _read_curve(path: Path, ts: np.ndarray) -> dict[str, np.ndarray]:
     if not np.array_equal(data[:, 0], ts):
         raise ValueError(f"{path}: times differ from t_max={ts[-1]:g}, t_steps={ts.size}; "
                          "run the sweep with the same grid")
-    return {name: data[:, i] for i, name in enumerate(cols)}
+    cur = {name: data[:, i] for i, name in enumerate(cols)}
+    # below a normal |g|^3 a zero column is genuine
+    if _cube_is_normal(g) and not cur["abs_g3"][ts > 0.0].any():
+        raise ValueError(f"{path}: abs_g3 is 0 at every t > 0 although g = {g:g}; "
+                         "was the sweep run with orders < 3?")
+    return cur
 
 
 def _cube_is_normal(g: float) -> bool:
@@ -355,78 +377,54 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
         relative.
       - near critical (|1 - lam| <= NEAR_CRITICAL_WINDOW, strong coupling):
         |Gamma3(t)| is non-decreasing over the sampled window.
+
+    Each distinct curve file of config.curves() is judged under its own name.
     """
     if config.orders < 3:
         raise ValueError(f"check needs orders = 3, got {config.orders}: the regime claims "
                          "compare Gamma2 with Gamma3")
-    outdir = Path(config.outputs)
-    ts = config.times()
-    curves = {}
-    for lam in config.lambdas:
-        for g in config.gs:
-            path = outdir / curve_filename(lam, g)
-            if not path.exists():
-                raise ValueError(f"missing sweep output {path}; run the sweep first")
-            curves[(lam, g)] = cur = _read_curve(path, ts)
-            # a curve written with orders < 3; below a normal |g|^3 a zero column is genuine
-            if _cube_is_normal(g) and not cur["abs_g3"][ts > 0.0].any():
-                raise ValueError(f"{path}: abs_g3 is 0 at every t > 0 although g = {g:g}; "
-                                 "was the sweep run with orders < 3?")
-
+    ts, points = config.times(), config.curves()
+    curves = {name: _read_curve(Path(config.outputs) / name, ts, g)
+              for name, (_, g) in points.items()}
+    later = ts > 0.0
     results = []
-
-    for (lam, g), cur in curves.items():
+    for name, (lam, g) in points.items():
         subject = f"lambda={lam:g}, g={g:g}"
-        mask = cur["t"] > 0.0
+        abs_g2, abs_g3 = curves[name]["abs_g2"], curves[name]["abs_g3"]
         if _cube_is_normal(g) and abs(g) <= WEAK_G_MAX and lam > 0.0:
-            bad = mask & ~(cur["abs_g3"] < cur["abs_g2"])
-            if bad.any():
-                t_bad = cur["t"][bad][0]
-                results.append(ClaimResult(
-                    "weak-coupling ordering", subject, False,
-                    f"|Gamma3| >= |Gamma2| at t={t_bad:g}"))
-            else:
-                results.append(ClaimResult(
-                    "weak-coupling ordering", subject, True,
-                    "|Gamma3| < |Gamma2| at every sampled t > 0"))
-        if abs(g) >= STRONG_G_MIN:
-            crossing = _t_star(cur["t"], cur["abs_g2"], cur["abs_g3"])
-            if crossing is not None:
-                results.append(ClaimResult(
-                    "strong-coupling crossing", subject, True, f"t* = {crossing:g}"))
-            else:
-                ratio = np.max(cur["abs_g3"][mask] / np.maximum(cur["abs_g2"][mask], 1e-300))
-                results.append(ClaimResult(
-                    "strong-coupling crossing", subject, False,
-                    f"no crossing on (0, {config.t_max:g}]; max |Gamma3|/|Gamma2| = {ratio:.3g}"))
-            if abs(1.0 - lam) <= NEAR_CRITICAL_WINDOW:
-                drops = np.diff(cur["abs_g3"]) < -MONOTONE_REL_TOL * np.max(cur["abs_g3"])
-                if drops.any():
-                    t_bad = cur["t"][1:][drops][0]
-                    results.append(ClaimResult(
-                        "near-critical monotone growth", subject, False,
-                        f"|Gamma3| decreases at t={t_bad:g}"))
-                else:
-                    results.append(ClaimResult(
-                        "near-critical monotone growth", subject, True,
-                        "|Gamma3| non-decreasing over the window"))
+            t = _first_t(ts, later & ~(abs_g3 < abs_g2))
+            results.append(ClaimResult(
+                "weak-coupling ordering", subject, t is None,
+                "|Gamma3| < |Gamma2| at every sampled t > 0" if t is None
+                else f"|Gamma3| >= |Gamma2| at t={t:g}"))
+        if abs(g) < STRONG_G_MIN:
+            continue
+        t = _first_t(ts, abs_g3 > abs_g2)
+        results.append(ClaimResult(
+            "strong-coupling crossing", subject, t is not None,
+            f"t* = {t:g}" if t is not None else
+            f"no crossing on (0, {config.t_max:g}]; max |Gamma3|/|Gamma2| = "
+            f"{np.max(abs_g3[later] / np.maximum(abs_g2[later], 1e-300)):.3g}"))
+        if abs(1.0 - lam) <= NEAR_CRITICAL_WINDOW:
+            t = _first_t(ts[1:], np.diff(abs_g3) < -MONOTONE_REL_TOL * np.max(abs_g3))
+            results.append(ClaimResult(
+                "near-critical monotone growth", subject, t is None,
+                "|Gamma3| non-decreasing over the window" if t is None
+                else f"|Gamma3| decreases at t={t:g}"))
 
-    # one verdict per distinct lambda, over the distinct g with a normal |g|^3
-    gs = [g for g in dict.fromkeys(config.gs) if _cube_is_normal(g)]
-    for lam in dict.fromkeys(config.lambdas) if len(gs) > 1 else ():
-        subject = f"lambda={lam:g}, gs={','.join(f'{g:g}' for g in gs)}"
-        ref = curves[(lam, gs[0])]["abs_g3"] / abs(gs[0]) ** 3
-        ok, detail = True, "|Gamma3|/|g|^3 identical across g"
-        for g in gs[1:]:
-            scaled = curves[(lam, g)]["abs_g3"] / abs(g) ** 3
-            denom = np.maximum(np.maximum(np.abs(ref), np.abs(scaled)), 1e-250)
-            rel = np.abs(scaled - ref) / denom
-            worst = int(np.argmax(rel))
-            if rel[worst] > SCALING_REL_TOL:
-                ok = False
-                detail = (f"g={g:g} deviates by {rel[worst]:.3g} relative "
-                          f"at t={curves[(lam, g)]['t'][worst]:g}")
-                break
-        results.append(ClaimResult("cubic coupling scaling", subject, ok, detail))
+    # one verdict per distinct lambda, over its distinct g with a normal |g|^3
+    for lam, lam_gs in _by_lambda(points.values()):
+        gs = [g for g in lam_gs if _cube_is_normal(g)]
+        if len(gs) < 2:
+            continue
+        ref, *scaled = (curves[curve_filename(lam, g)]["abs_g3"] / abs(g) ** 3 for g in gs)
+        rels = (np.abs(s - ref) / np.maximum(np.maximum(np.abs(ref), np.abs(s)), 1e-250)
+                for s in scaled)
+        g_bad, rel = next(((g, rel) for g, rel in zip(gs[1:], rels)
+                           if rel.max() > SCALING_REL_TOL), (None, None))
+        results.append(ClaimResult(
+            "cubic coupling scaling", f"lambda={lam:g}, gs={','.join(f'{g:g}' for g in gs)}",
+            g_bad is None, "|Gamma3|/|g|^3 identical across g" if g_bad is None else
+            f"g={g_bad:g} deviates by {rel.max():.3g} relative at t={ts[rel.argmax()]:g}"))
 
     return FigureCheckReport(tuple(results))

@@ -119,6 +119,7 @@ def test_load_config_rejects_garbage(tmp_path):
         dict(lambdas=(math.inf,)),
         dict(gs=(0.01, -math.inf)),
         dict(gs=(math.nan,)),
+        dict(t_max=5e-323),
     ],
 )
 def test_config_validation(kw):
@@ -501,20 +502,26 @@ def test_csv_bytes_match_per_value_formatting():
 
 
 def test_correlator_dump_mode(tmp_path):
-    config = small_config(tmp_path, correlators=True, lambdas=(0.5, 0.5, 1.0), gs=(0.3,))
-    paths = run_sweep(config)
-    names = sorted(p.name for p in paths)
-    assert names == ["correlators_lambda0.5.csv", "correlators_lambda1.csv"]
-    for path, lam in zip(paths, (0.5, 1.0)):
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,c1,c2_irr,c3_irr" and len(lines) == 1 + config.t_steps
-        params = ModelParams(N=16, lam=lam, g=0.0)
-        grid = make_kgrid(params)
-        for line in lines[1:]:
-            t, c1_col, c2_col, c3_col = map(float, line.split(","))
-            assert c1_col == c1(params, grid).value.real
-            assert c2_col == c2_irreducible(params, grid, t, 0.0).value.real
-            assert c3_col == c3_irreducible(params, grid, t, t / 2.0, 0.0).value.real
+    """One file per distinct printed lambda: a repeat shares one, 0 and -0 get two."""
+    for i, (lambdas, expected, lams) in enumerate([
+        ((0.5, 0.5, 1.0), ["correlators_lambda0.5.csv", "correlators_lambda1.csv"], (0.5, 1.0)),
+        ((0.0, -0.0), ["correlators_lambda-0.csv", "correlators_lambda0.csv"], (0.0, -0.0)),
+    ]):
+        config = small_config(tmp_path, correlators=True, lambdas=lambdas, gs=(0.3,),
+                              outputs=str(tmp_path / f"out{i}"))
+        paths = run_sweep(config)
+        names = sorted(p.name for p in paths)
+        assert names == expected
+        for path, lam in zip(paths, lams):
+            lines = path.read_text().splitlines()
+            assert lines[0] == "t,c1,c2_irr,c3_irr" and len(lines) == 1 + config.t_steps
+            params = ModelParams(N=16, lam=lam, g=0.0)
+            grid = make_kgrid(params)
+            for line in lines[1:]:
+                t, c1_col, c2_col, c3_col = map(float, line.split(","))
+                assert c1_col == c1(params, grid).value.real
+                assert c2_col == c2_irreducible(params, grid, t, 0.0).value.real
+                assert c3_col == c3_irreducible(params, grid, t, t / 2.0, 0.0).value.real
 
 
 def test_run_sweep_order3_validation(tmp_path):
@@ -855,3 +862,74 @@ def test_weak_coupling_ordering_needs_a_normal_cube(tmp_path, capsys):
     assert not any("weak-coupling" in line for line in verdicts["1e-110,1"])
     assert [line for line in verdicts["1e-110,1"] if "g=1)" in line] == \
         [line for line in verdicts["1"] if "g=1)" in line] != []
+
+
+def _write_curves(config, columns):
+    """Curve files on config's grid with zeros except t, abs_g2 and abs_g3, from
+    {(lambda, g): (abs_g2, abs_g3)}."""
+    ts = config.times()
+    Path(config.outputs).mkdir(parents=True)
+    for (lam, g), (abs_g2, abs_g3) in columns.items():
+        rows = [(t, *[0.0] * 10, a2, a3) for t, a2, a3 in zip(ts, abs_g2, abs_g3)]
+        text = sweep_module._csv(CURVE_HEADER, rows)
+        (Path(config.outputs) / curve_filename(lam, g)).write_text(text)
+
+
+# check_figures' report on the hand-written curves below, one failing line per claim
+FAIL_REPORT = """\
+[FAIL] weak-coupling ordering (lambda=0.5, g=0.01): |Gamma3| >= |Gamma2| at t=1
+[FAIL] strong-coupling crossing (lambda=0.5, g=1): no crossing on (0, 2]; max |Gamma3|/|Gamma2| = 0.4
+[PASS] weak-coupling ordering (lambda=0.97, g=0.01): |Gamma3| < |Gamma2| at every sampled t > 0
+[PASS] strong-coupling crossing (lambda=0.97, g=1): t* = 0.5
+[FAIL] near-critical monotone growth (lambda=0.97, g=1): |Gamma3| decreases at t=1.5
+[PASS] cubic coupling scaling (lambda=0.5, gs=0.01,1): |Gamma3|/|g|^3 identical across g
+[FAIL] cubic coupling scaling (lambda=0.97, gs=0.01,1): g=1 deviates by 0.333 relative at t=1
+check_figures: FAIL"""
+
+
+def test_check_figures_fail_lines(tmp_path):
+    """Each claim fails once, on hand-written columns at t = 0, 0.5, 1, 1.5, 2."""
+    config = small_config(tmp_path, lambdas=(0.5, 0.97), gs=(0.01, 1.0), t_steps=5)
+    ramp = [0.0, 1.0, 2.0, 3.0, 4.0]
+    _write_curves(config, {
+        (0.5, 0.01): ([0.0, 1e-5, 1e-6, 1.0, 1.0], [1e-6 * x for x in ramp]),
+        (0.5, 1.0): ([0.0, 10.0, 10.0, 10.0, 10.0], ramp),
+        (0.97, 0.01): ([0.0, 1.0, 1.0, 1.0, 1.0], [1e-6 * x for x in ramp]),
+        (0.97, 1.0): ([0.0, 0.5, 0.5, 0.5, 0.5], [0.0, 1.0, 3.0, 2.5, 4.0]),
+    })
+    assert check_figures(config).format() == FAIL_REPORT
+
+
+def test_check_judges_signed_zero_lambdas_apart(tmp_path, capsys):
+    """lambda = 0 and -0 write two curve files each, and check judges all four
+    under their own names, with one scaling verdict per printed lambda."""
+    out = tmp_path / "out"
+    flags = ["--N", "16", "--lambdas", "0,-0", "--gs", "1,0.5", "--out", str(out)]
+    assert main(["sweep", *flags]) == 0
+    assert len(list(out.glob("curve_*.csv"))) == 4
+    capsys.readouterr()
+    assert main(["check", *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [
+        "[PASS] strong-coupling crossing (lambda=0, g=1)",
+        "[PASS] strong-coupling crossing (lambda=0, g=0.5)",
+        "[PASS] strong-coupling crossing (lambda=-0, g=1)",
+        "[PASS] strong-coupling crossing (lambda=-0, g=0.5)",
+        "[PASS] cubic coupling scaling (lambda=0, gs=1,0.5)",
+        "[PASS] cubic coupling scaling (lambda=-0, gs=1,0.5)",
+        "check_figures",
+    ]
+
+
+def test_time_grid_with_repeated_times_is_refused_before_writing(tmp_path, capsys):
+    """linspace(0, 5e-323, 64) repeats subnormal times: every subcommand exits 1
+    naming t_max and t_steps, and no directory is created."""
+    out = tmp_path / "out"
+    flags = ["--N", "16", "--t-max", "5e-323", "--out", str(out)]
+    for argv in (["sweep", *flags], ["check", *flags],
+                 ["single", "--lambda", "0.5", "--g", "1", "--N", "16", "--t-max", "5e-323",
+                  "--t-steps", "64"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "t_max" in err and "t_steps" in err
+    assert not out.exists()

@@ -41,7 +41,8 @@ def test_traced_sweep_and_check_record_every_layer(tracing, tmp_path, capsys):
     spans = {}
     for span in tracer.spans:
         spans.setdefault(span["name"], []).append(span)
-    for name in ("exact.gamma_exact", "cumulants.gamma_order3_quadrature", "sweep.run_sweep",
+    for name in ("model.make_kgrid", "exact.gamma_exact", "cumulants.gamma_order3",
+                 "cumulants.gamma_order3_quadrature", "correlators.c1", "sweep.run_sweep",
                  "sweep.check_figures"):
         assert spans.get(name), name
     assert spans["cumulants.gamma_order3_quadrature"][0]["points"] == 8
