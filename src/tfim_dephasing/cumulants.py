@@ -12,7 +12,8 @@ at zero temperature.  The third-order form comes
 from splitting the integration cube into its six strict-ordering cells, on
 each of which the step brackets are constants; the summands are even in k, so
 one kernel (``mode_sums``) sums orders 2 and 3 over the k > 0 half grid,
-doubled.  The sums S2, S3 do not depend on g, so a sweep computes them once per
+doubled, from one tangent of the half angle eps_k t per mode and time.  The
+sums S2, S3 do not depend on g, so a sweep computes them once per
 lambda; ``scaled_terms`` forms Gamma1..3 and their sum from them as one (4, T)
 array, and ``gamma_series`` is its one-coupling, per-time view.  Both closed
 forms are checked against direct Gauss-Legendre quadrature of the kernels; for
@@ -52,39 +53,54 @@ def gamma_order1(params: ModelParams, grid: KGrid, t: float) -> complex:
 def mode_sums(grid: KGrid, ts: np.ndarray, max_order: int):
     """The g-free sums (S2, S3) of orders 2 and 3 at ts; an order above max_order reads 0.
 
-    Sums the k > 0 half grid, doubled, over ``mode_chunks`` by ``blocks`` of
-    times.  The chunks depend on the mode count only and are added in order,
-    so each time's value does not depend on the other times.  Each chunk's
-    blocks are written into three buffers sized by its first (longest) block,
-    by the operations of ``(1 - cos x) * w2`` and ``(sin x - x cos x) * w3``
-    in that order, so the sums are those of the allocating expressions bit
-    for bit; a shorter last block uses the leading rows only.
+    Sums the k > 0 half grid (``scaled_terms`` doubles it) over
+    ``mode_chunks`` by ``blocks`` of times.  The chunks depend on the mode
+    count only and are added in order, so each time's value does not depend
+    on the other times.
+
+    Both kernels are taken at the half angle h = t eps_k = x/2 (the same
+    float as (t 2eps_k)/2) through one tangent, tau = tan h and q = tau^2:
+
+        1 - cos x       = 2 q / (1 + q)
+        sin x - x cos x = 2 ((tau - h) + h q) / (1 + q)
+
+    with the factor 2 folded into the weights.  The first form has no
+    cancellation; in the second, tau - h is exact where it cancels
+    (Sterbenz), but tan's own rounding still leaves a relative error of
+    about ulp/h^2 for small h.  Each chunk's blocks are written into three
+    buffers (h, tau, q; 1 + q reuses h) sized by its first (longest) block,
+    in the operation order ``((tau - h) + h q) / (1 + q) * w3`` and
+    ``q / (1 + q) * w2``, followed by a row sum; a shorter last block uses
+    the leading rows only.
     """
     s2 = np.zeros_like(ts)
     s3 = np.zeros_like(ts)
     if max_order >= 2:
         eps = grid.eps_pos
-        two_eps = 2.0 * eps
-        w2 = 1.0 / eps**2
-        w3 = grid.sin2theta_pos**2 / eps**3
+        w2 = 2.0 / eps**2
+        w3 = 2.0 * grid.sin2theta_pos**2 / eps**3
         for k in mode_chunks(eps.size):
             buffers = None
-            for i in blocks(ts.size, two_eps[k].size):
+            for i in blocks(ts.size, eps[k].size):
                 rows = ts[i].size
                 if buffers is None:
-                    buffers = np.empty((3, rows, two_eps[k].size))
-                x, cos_x, y = buffers[:, :rows]
-                np.multiply.outer(ts[i], two_eps[k], out=x)
-                np.cos(x, out=cos_x)
-                np.subtract(1.0, cos_x, out=y)
-                y *= w2[k]
-                s2[i] += y.sum(axis=1)
+                    buffers = np.empty((3, rows, eps[k].size))
+                h, tau, q = buffers[:, :rows]
+                np.multiply.outer(ts[i], eps[k], out=h)
+                np.tan(h, out=tau)
+                np.multiply(tau, tau, out=q)
                 if max_order >= 3:
-                    np.sin(x, out=y)
-                    x *= cos_x
-                    y -= x
-                    y *= w3[k]
-                    s3[i] += y.sum(axis=1)
+                    tau -= h
+                    h *= q
+                    tau += h
+                np.add(1.0, q, out=h)
+                if max_order >= 3:
+                    tau /= h
+                    tau *= w3[k]
+                    s3[i] += tau.sum(axis=1)
+                q /= h
+                q *= w2[k]
+                s2[i] += q.sum(axis=1)
     return s2, s3
 
 

@@ -289,16 +289,16 @@ def _allocating_mode_sums(grid, ts, max_order):
     s3 = np.zeros_like(ts)
     if max_order >= 2:
         eps = grid.eps_pos
-        two_eps = 2.0 * eps
-        w2 = 1.0 / eps**2
-        w3 = grid.sin2theta_pos**2 / eps**3
+        w2 = 2.0 / eps**2
+        w3 = 2.0 * grid.sin2theta_pos**2 / eps**3
         for k in mode_chunks(eps.size):
-            for i in blocks(ts.size, two_eps[k].size):
-                x = np.multiply.outer(ts[i], two_eps[k])
-                cos_x = np.cos(x)
-                s2[i] += ((1.0 - cos_x) * w2[k]).sum(axis=1)
+            for i in blocks(ts.size, eps[k].size):
+                h = np.multiply.outer(ts[i], eps[k])
+                tau = np.tan(h)
+                q = tau * tau
                 if max_order >= 3:
-                    s3[i] += ((np.sin(x) - x * cos_x) * w3[k]).sum(axis=1)
+                    s3[i] += (((tau - h) + h * q) / (1.0 + q) * w3[k]).sum(axis=1)
+                s2[i] += (q / (1.0 + q) * w2[k]).sum(axis=1)
     return s2, s3
 
 
@@ -313,6 +313,59 @@ def test_mode_sums_buffers_match_allocating_expression(model, T):
         want = _allocating_mode_sums(grid, ts, order)
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), order
+
+
+def _sin_minus_x_cos_ld(x):
+    """sin x - x cos x in long double; its Taylor series below x = 0.5, where
+    the direct form cancels: sum_n (-1)^(n+1) 2n x^(2n+1) / (2n+1)!."""
+    series = np.zeros_like(x)
+    term = x**3 / 3
+    for n in range(1, 13):
+        series += term
+        term = -term * x * x / (2 * n * (2 * n + 3))
+    return np.where(x < 0.5, series, np.sin(x) - x * np.cos(x))
+
+
+@pytest.mark.parametrize("N", [20000, 100000])
+def test_mode_sums_order2_first_steps_at_critical_point(model, N):
+    """At lam = 1 the near-gapless modes have small x = 2 eps_k t at the first
+    steps, where 1 - cos x cancels; S2 must still match a long-double
+    sum of 2 sin^2(eps_k t) / eps_k^2 to rounding."""
+    _, grid = model(N, 1.0)
+    ts = np.linspace(0.0, 5.0, 1024)[:3]
+    s2, _ = cumulants.mode_sums(grid, ts, 2)
+    eps = grid.eps_pos.astype(np.longdouble)
+    for j in (1, 2):
+        ref = np.sum(2 * np.sin(eps * np.longdouble(ts[j])) ** 2 / eps**2)
+        assert abs(s2[j] - ref) <= 1e-14 * ref, (j, float(abs(s2[j] - ref) / ref))
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_mode_sums_order3_against_extended_precision(model, lam):
+    _, grid = model(1000, lam)
+    ts = np.linspace(0.0, 5.0, 64)
+    _, s3 = cumulants.mode_sums(grid, ts, 3)
+    eps = grid.eps_pos.astype(np.longdouble)
+    w = grid.sin2theta_pos.astype(np.longdouble) ** 2 / eps**3
+    for t, got in zip(ts[1:], s3[1:]):
+        ref = np.sum(w * _sin_minus_x_cos_ld(2 * eps * np.longdouble(t)))
+        assert abs(got - ref) <= 1e-13 * abs(ref), (t, float(abs(got - ref) / abs(ref)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_mode_sums_one_tangent_per_sample(model, monkeypatch, order):
+    _, grid = model(16532, 0.8)
+    ts = np.linspace(0.0, 6.5, 37)
+    counted = {"tan": [], "cos": [], "sin": []}
+    for name, calls in counted.items():
+        def counting(x, *args, _f=getattr(np, name), _calls=calls, **kwargs):
+            _calls.append(np.size(x))
+            return _f(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    cumulants.mode_sums(grid, ts, order)
+    assert sum(counted["tan"]) == (ts.size * grid.eps_pos.size if order >= 2 else 0)
+    assert counted["cos"] == [] and counted["sin"] == []
 
 
 def test_gamma_series_memory_bounded_by_chunk(model):
