@@ -17,9 +17,9 @@ closed form on the two phasors ps = e^{it(a+b)} and pd = e^{it(a-b)}:
 
 with alpha, beta = ((2g-eps)/a +/- (2g+eps)/b)/2 and Cm1 = (eps^2 - 4g^2 -
 g^2 s^2)/(ab) - 1; a - b and Cm1 are cancellation-free rearrangements, so
-A_k(0) = A_k(g=0) = 1 holds exactly.  A legacy variant (``corrected=False``:
-middle coefficient (eps^2 - s^2)/(ab), eps-weighted imaginary part) violates
-the g = 0 identity and is kept for comparison only.
+A_k(0) = A_k(g=0) = 1 holds exactly.  The legacy variant (``corrected=False``), kept for
+comparison only, breaks that identity: the same assembly, without e^{4igt}, on
+Cm1 = (eps^2 - s^2)/(ab) - 1, alpha = eps(1/b - 1/a)/2 and beta = -eps(1/b + 1/a)/2.
 
 The decoherence function is Gamma(t) = sum_{k>0} ln A_k(t), each log's branch tracked
 from Gamma(0) = 0.  Im ln A_k = 4gt + Im ln B_k, and B_k = e^{-4igt} A_k (not the
@@ -27,9 +27,10 @@ coupling matrix) is a sum of four circles, as p cos wt + iq sin wt =
 ((p+q)/2)e^{iwt} + ((p-q)/2)e^{-iwt}: radii |1 + Cm1/2 -/+ beta|/2 at +/-(a-b) and
 |Cm1/2 +/- alpha|/2 at +/-(a+b).  rate_k is the largest one's frequency; speed_k =
 sum radius |freq - rate_k| bounds |d/dt B_k e^{-i rate_k t}|, and is 0 where the
-largest radius exceeds the other three together (a half-plane: no winding).  Wraps
-follow np.unwrap's rule on arg B_k - rate_k t, exact where |B_k| at the two ends sums
-to more than width times speed_k; other intervals are halved at closed-form midpoints.
+largest radius exceeds the other three together (a half-plane: no winding); both are
+in the coupling's one coefficient set (``_coefficients``).  Wraps follow np.unwrap's rule
+on arg B_k - rate_k t, exact where |B_k| at the two ends sums to more than width times
+speed_k; other intervals are halved at closed-form midpoints.
 The deterministic phase -2it(omega0 + g sum_k cos 2theta_k) is reported separately.
 
 Time is walked in blocks of rows per mode chunk, in buffers allocated once per call.
@@ -82,21 +83,29 @@ def _oracle_entries(eps, s2, g, ts):
 
 
 def _coefficients(eps, s2, g):
-    """Per-mode a, b, a + b, a - b, Cm1/2 and the sine weights alpha, beta."""
+    """Per-mode a, b, a + b, a - b, Cm1/2, the sine weights alpha, beta, and rate_k and
+    speed_k of B_k's four circles (module docstring)."""
     gs = g * s2
     a = np.hypot(gs, 2.0 * g - eps)
     b = np.hypot(gs, 2.0 * g + eps)
-    ab = a * b
+    ab, apb = a * b, a + b
     # a - b and the middle coefficient minus one, in cancellation-free form:
     # Cm1 = q/(ab) - 1 has two negative terms where q <= 0; elsewhere it is
     # rationalized, which also makes Cm1 = 0 exactly at g = 0
-    amb = -8.0 * g * eps / (a + b)
+    amb = -8.0 * g * eps / apb
     q = eps * eps - g * g * (s2 * s2 + 4.0)
     direct = q <= 0.0
-    cm1 = np.where(direct, q / ab - 1.0, -4.0 * eps * eps * g * g * s2 * s2
-                   / (ab * np.where(direct, 1.0, q + ab)))
+    hc = 0.5 * np.where(direct, q / ab - 1.0, -4.0 * eps * eps * g * g * s2 * s2
+                        / (ab * np.where(direct, 1.0, q + ab)))
     wa, wb = (2.0 * g - eps) / a, (2.0 * g + eps) / b
-    return a, b, a + b, amb, 0.5 * cm1, 0.5 * (wa + wb), 0.5 * (wa - wb)
+    alpha, beta = 0.5 * (wa + wb), 0.5 * (wa - wb)
+    del gs, ab, q, direct, wa, wb  # peak memory: gone before the circles' (4, modes) arrays
+    radius = 0.5 * np.abs([1.0 + hc - beta, 1.0 + hc + beta, hc + alpha, hc - alpha])
+    freq = np.stack([amb, -amb, apb, -apb])
+    rate = np.choose(np.argmax(radius, axis=0), freq)
+    speed = np.where(2.0 * np.max(radius, axis=0) > np.sum(radius, axis=0), 0.0,
+                     np.sum(radius * np.abs(freq - rate), axis=0))
+    return a, b, apb, amb, hc, alpha, beta, rate, speed
 
 
 def _phasors(coef, ts):
@@ -114,7 +123,7 @@ def _phasors(coef, ts):
 def _assemble(coef, ps, pd, re=None, im=None):
     """Re B_k and Im B_k, B_k = e^{-4igt} A_k, from the phasors ps, pd (into re and im
     when given); Im ps is overwritten."""
-    *_, hc, alpha, beta = coef
+    hc, alpha, beta = coef[4:7]
     re = np.subtract(pd.real, ps.real, out=re)
     re *= hc
     re += pd.real
@@ -136,17 +145,15 @@ def _closed_form_entries(eps, s2, g, ts):
 def mode_overlap_closed_form(
     mode: KMode, g: float, t: float, corrected: bool = True
 ) -> complex:
-    """Closed-form overlap; ``corrected=False`` selects the legacy coefficients."""
-    eps, s = mode.eps, mode.sin2theta
+    """Closed-form overlap; ``corrected=False`` takes the legacy set (module docstring)."""
+    eps, s2, ts = np.array([mode.eps]), np.array([mode.sin2theta]), np.array([t])
     if corrected:
-        return complex(_closed_form_entries(np.array([eps]), np.array([s]), g, np.array([t]))[0, 0])
-    a, b = map(float, _coefficients(eps, s, g)[:2])
-    ta, tb = t * a, t * b
-    return complex(
-        math.cos(ta) * math.cos(tb)
-        + (eps * eps - s * s) * math.sin(ta) * math.sin(tb) / (a * b)
-        + 1j * eps * (math.sin(ta) * math.cos(tb) / a - math.cos(ta) * math.sin(tb) / b)
-    )
+        return complex(_closed_form_entries(eps, s2, g, ts)[0, 0])
+    a, b, apb, amb = _coefficients(eps, s2, g)[:4]
+    legacy = (a, b, apb, amb, 0.5 * ((eps * eps - s2 * s2) / (a * b) - 1.0),
+              0.5 * eps * (1.0 / b - 1.0 / a), -0.5 * eps * (1.0 / a + 1.0 / b))
+    re, im = _assemble(legacy, *_phasors(legacy, ts))
+    return complex(re[0], im[0])
 
 
 def certify_closed_form(grid: KGrid, gs, times) -> float:
@@ -159,16 +166,6 @@ def certify_closed_form(grid: KGrid, gs, times) -> float:
             diff = _closed_form_entries(e, s, g, ts) - _oracle_entries(e, s, g, ts)
             worst = np.maximum(worst, np.max(np.abs(diff), initial=0.0))
     return float(worst)
-
-
-def _circles(coef):
-    """rate_k and speed_k of B_k's four circles (module docstring)."""
-    *_, hc, alpha, beta = coef
-    radius = 0.5 * np.abs([1.0 + hc - beta, 1.0 + hc + beta, hc + alpha, hc - alpha])
-    freq = np.stack([coef[3], -coef[3], coef[2], -coef[2]])
-    rate = freq[np.argmax(radius, axis=0), np.arange(hc.size)]
-    speed = np.sum(radius * np.abs(freq - rate), axis=0)
-    return rate, np.where(2.0 * np.max(radius, axis=0) > np.sum(radius, axis=0), 0.0, speed)
 
 
 def _wraps(turn, width, rate, out=None):
@@ -199,7 +196,7 @@ def _angles(coef, ps, pd, ts, k_pos, re=None, im=None, arg=None):
 def _bisected_wraps(coef, k_pos, t, mags, arg):
     """Wraps over intervals failing the certificate, one mode each (t, mags, arg: both ends),
     halved at closed-form midpoints, each checked against OVERLAP_FLOOR, until all pass."""
-    (rate, speed), piece, wraps = _circles(coef), np.arange(t.shape[1]), np.zeros(t.shape[1])
+    (*_, rate, speed), piece, wraps = coef, np.arange(t.shape[1]), np.zeros(t.shape[1])
     while piece.size:
         mid = 0.5 * (t[0] + t[1])
         if np.any((mid == t[0]) | (mid == t[1])):  # |B_k| < ulp(t) speed_k at both ends
@@ -246,7 +243,7 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
     # 4gt mod 2 pi joins each arg, its whole turns the wraps (2gNt after the sum cancels)
     whole, trace = np.divmod(4.0 * g * ts, 2.0 * np.pi)
     gamma, trace = np.zeros(ts.size, dtype=complex), trace[:, None]
-    rate, speed = _circles(coef)
+    rate, speed = coef[7:]
     # per chunk: its modes, those whose B_k e^{-i rate_k t} may wind, and rows per block
     chunks = [(k, np.flatnonzero(speed[k]), min(ts.size, block_rows(rate[k].size)))
               for k in mode_chunks(rate.size)]
@@ -258,7 +255,7 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
     mags_buf = np.empty(max((rows + 1) * tracked.size for _, tracked, rows in chunks))
     for k, tracked, rows in chunks:
         k_pos, chunk, n = grid.k_pos[k], [c[k] for c in coef], rate[k].size
-        rate_k, speed_k = rate[k], speed[k][tracked]
+        rate_k, speed_k = chunk[7], chunk[8][tracked]
         arg_buf[:n], mags_buf[:tracked.size], end_turns = 0.0, 1.0, 0.0
         for blk in blocks(ts.size, n):
             m = ts[blk].size

@@ -182,25 +182,36 @@ def curve_filename(lam: float, g: float) -> str:
 
 def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
     """Each coupling's curve file content and summary row of values at field lam: the
-    k-grid, c1 and g-free series mode sums are computed once, the exact route per g."""
+    k-grid, c1 and g-free series mode sums are computed once, the exact route per g.
+    Numpy overflow and invalid operations, and a non-finite series or computed exact
+    Gamma, raise FloatingPointError naming lambda and g."""
     params = ModelParams(N=config.N, lam=lam, g=0.0)
     grid = make_kgrid(params)
     ts = config.times()
-    sums = mode_sums(grid, ts, config.orders)
-    c1_value = c1(params, grid).value.real
     near_critical = int(abs(1.0 - lam) <= NEAR_CRITICAL_WINDOW)
-    out = []
-    for g in gs:
-        terms = scaled_terms(g, c1_value, ts, sums, config.orders)
-        exact = (gamma_exact(ModelParams(N=config.N, lam=lam, g=g), grid, ts).gamma
-                 if config.emit_exact else np.full(ts.size, complex(math.nan, math.nan)))
-        # np.hypot gives abs(complex) bit for bit; numpy's complex np.abs does not
-        abs_g2, abs_g3, diff = (np.hypot(z.real, z.imag) for z in (*terms[1:3], exact - terms[3]))
-        max_diff = float(diff.max()) if config.emit_exact else None
-        pairs = [x for z in (*terms, exact) for x in (z.real, z.imag)]  # re_*, im_* columns
-        rows = np.column_stack([ts, *pairs, abs_g2, abs_g3]).tolist()
-        out.append((_csv(CURVE_HEADER, rows),
-                    (lam, g, _first_t(ts, abs_g3 > abs_g2), max_diff, near_critical)))
+    out, point = [], f"lambda={lam:g}, g={','.join(f'{g:g}' for g in gs)}"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sums = mode_sums(grid, ts, config.orders)
+            c1_value = c1(params, grid).value.real
+            for g in gs:
+                point = f"lambda={lam:g}, g={g:g}"
+                terms = scaled_terms(g, c1_value, ts, sums, config.orders)
+                exact = (gamma_exact(ModelParams(N=config.N, lam=lam, g=g), grid, ts).gamma
+                         if config.emit_exact else np.full(ts.size, complex(math.nan, math.nan)))
+                if not (np.isfinite(terms).all()
+                        and (np.isfinite(exact).all() or not config.emit_exact)):
+                    raise FloatingPointError("non-finite Gamma")
+                # np.hypot gives abs(complex) bit for bit; numpy's complex np.abs does not
+                abs_g2, abs_g3, diff = (np.hypot(z.real, z.imag)
+                                        for z in (*terms[1:3], exact - terms[3]))
+                max_diff = float(diff.max()) if config.emit_exact else None
+                pairs = [x for z in (*terms, exact) for x in (z.real, z.imag)]  # re_*, im_*
+                rows = np.column_stack([ts, *pairs, abs_g2, abs_g3]).tolist()
+                out.append((_csv(CURVE_HEADER, rows),
+                            (lam, g, _first_t(ts, abs_g3 > abs_g2), max_diff, near_critical)))
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{point}: {exc}") from None
     return out
 
 
@@ -242,13 +253,22 @@ def _sweep_task(payload):
 
 
 def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
+    """One correlator file per distinct lambda; numpy overflow and invalid operations, and
+    a non-finite value, raise FloatingPointError naming lambda."""
     ts = config.times()
     written = []
     for lam, _ in _by_lambda(config.curves().values()):
         params = ModelParams(N=config.N, lam=lam, g=0.0)
         grid = make_kgrid(params)
-        c1s = np.full_like(ts, c1(params, grid).value.real)
-        rows = zip(ts, c1s, c2_values(grid, ts, 0.0), c3_values(grid, ts, ts / 2.0, 0.0))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                c1s = np.full_like(ts, c1(params, grid).value.real)
+                rows = np.column_stack([ts, c1s, c2_values(grid, ts, 0.0),
+                                        c3_values(grid, ts, ts / 2.0, 0.0)])
+                if not np.isfinite(rows).all():
+                    raise FloatingPointError("non-finite correlator")
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"lambda={lam:g}: {exc}") from None
         path = Path(config.outputs) / f"correlators_lambda{lam:g}.csv"
         _write_text(path, _csv(CORRELATOR_HEADER, rows))
         written.append(path)

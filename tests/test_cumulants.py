@@ -225,6 +225,8 @@ def test_gamma3_validation_hook(model):
     assert val == pytest.approx(GAMMA3_LAM05_N8_G1_T1, rel=1e-13)
     with pytest.raises(ValueError):
         gamma_order3(params, grid, 1.0, quadrature_points=4)
+    with pytest.raises(ValueError, match="points must be >= 2"):
+        gamma_order3_quadrature(params, grid, 1.0, points=1)
 
 
 def test_gamma3_validation_rejects_points_beyond_cap_first(model, monkeypatch):
@@ -244,6 +246,16 @@ def test_gamma3_validation_detects_mismatch(model, monkeypatch):
         cumulants, "gamma_order3_quadrature", lambda *a, **k: 1.23j
     )
     with pytest.raises(QuadratureConvergenceError):
+        gamma_order3(params, grid, 1.0, quadrature_points=32)
+
+
+def test_gamma3_validation_stops_at_refinement_cap(model, monkeypatch):
+    """A reference that moves with every refinement never settles: the refinement
+    stops at ORDER3_POINTS_CAP instead of doubling forever."""
+    params, grid = model(8, 0.5, g=1.0)
+    monkeypatch.setattr(cumulants, "gamma_order3_quadrature",
+                        lambda params, grid, t, points: complex(0.0, points))
+    with pytest.raises(QuadratureConvergenceError, match="not converged below 1024"):
         gamma_order3(params, grid, 1.0, quadrature_points=32)
 
 

@@ -447,7 +447,7 @@ def test_bisection_stops_at_adjacent_floats(model):
     error before any midpoint is evaluated, not an endless loop."""
     _, grid = model(16, 0.0)
     coef = [c[3:4] for c in exact_mod._coefficients(grid.eps_pos, grid.sin2theta_pos, 1.0)]
-    assert exact_mod._circles(coef)[1][0] * np.spacing(1e4) > 2e-12
+    assert coef[-1][0] * np.spacing(1e4) > 2e-12  # speed_k
     t = np.array([[1e4], [np.nextafter(1e4, 2e4)]])
     with pytest.raises(BranchTrackingError, match="cannot halve"):
         exact_mod._bisected_wraps(coef, grid.k_pos[3:4], t, np.full((2, 1), 1e-12),

@@ -8,6 +8,7 @@ import pytest
 
 import tfim_dephasing.cli as cli
 import tfim_dephasing.cumulants as cumulants
+import tfim_dephasing.exact as exact_module
 import tfim_dephasing.sweep as sweep_module
 from tfim_dephasing import (
     CURVE_HEADER,
@@ -536,6 +537,9 @@ def test_run_sweep_validation_failure_propagates(tmp_path, monkeypatch):
     config = small_config(tmp_path, validate_order3=True, quadrature_points=32)
     with pytest.raises(QuadratureConvergenceError):
         run_sweep(config)
+    # with every coupling 0 there is no point to validate at: the stub is never called
+    assert main(["sweep", "--lambdas", "0.5", "--gs", "0", "--N", "16", "--t-steps", "4",
+                 "--validate-order3", "--out", str(tmp_path / "zero")]) == 0
 
 
 def test_check_figures_passing_regimes(tmp_path):
@@ -656,6 +660,52 @@ def test_cli_rejects_coupling_whose_cube_overflows(tmp_path, capsys, g):
         assert "error: g must have a finite cube" in captured.err
         assert captured.out == ""
     assert not out.exists()
+
+
+NON_FINITE = {
+    "coupling": ("5e102", ["--t-max", "5", "--t-steps", "64"]),  # g^3 finite, 2g^3 S3 not
+    "time": ("1", ["--t-max", "1e308", "--t-steps", "3"]),  # t eps_k overflows
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_cli_refuses_non_finite_gamma(tmp_path, capsys, case):
+    """A point whose Gamma overflows exits 2 naming lambda and g, and writes no curve
+    file and no summary; a correlator dump that overflows names lambda."""
+    g, times = NON_FINITE[case]
+    out = tmp_path / "out"
+    sweep = ["sweep", "--lambdas", "0.5", "--gs", g, "--N", "16", *times, "--out", str(out)]
+    for argv in (sweep, [*sweep, "--emit-exact"],
+                 ["single", "--lambda", "0.5", "--g", g, "--N", "16", *times]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"numerical failure: lambda=0.5, g={float(g):g}: ")
+        assert captured.out == ""
+    assert list(out.iterdir()) == []
+    if case == "time":
+        assert main([*sweep, "--correlators"]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: lambda=0.5: ")
+        assert list(out.iterdir()) == []
+
+
+def _never_converges(params, grid, t, points):
+    return complex(0.0, points)
+
+
+@pytest.mark.parametrize("argv, target, value", [
+    (["sweep", "--emit-exact"], exact_module, ("OVERLAP_FLOOR", 0.5)),
+    (["single", "--lambda", "0.5", "--g", "1", "--t-max", "4", "--t-steps", "17"],
+     exact_module, ("OVERLAP_FLOOR", 0.5)),
+    (["sweep", "--validate-order3", "--quadrature-points", "32"], cumulants,
+     ("gamma_order3_quadrature", _never_converges)),
+], ids=["sweep-floor", "single-floor", "sweep-order3"])
+def test_cli_numerical_failure_exits_2(tmp_path, capsys, monkeypatch, argv, target, value):
+    monkeypatch.setattr(target, *value)
+    if argv[0] == "sweep":
+        argv = [*argv, "--lambdas", "0.5", "--gs", "1", "--t-max", "4", "--t-steps", "17",
+                "--out", str(tmp_path / "out")]
+    assert main([*argv, "--N", "8"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 SINGLE_FLAGS = {"--lambda": "lam", "--g": "g", "--N": "N", "--t-max": "t_max",
@@ -811,13 +861,16 @@ def test_check_judges_order3_sweeps_as_before(tmp_path):
     assert check_figures(tiny).passed
 
 
-@pytest.mark.parametrize("corrupt", ["non_numeric", "one_short_row", "every_row_short"])
+@pytest.mark.parametrize("corrupt", ["header", "non_numeric", "one_short_row",
+                                     "every_row_short"])
 def test_check_names_file_with_malformed_row(tmp_path, capsys, corrupt):
     config = small_config(tmp_path, gs=(0.01,))
     run_sweep(config)
     path = Path(config.outputs) / curve_filename(0.5, 0.01)
     header, *rows = path.read_text().splitlines()
-    if corrupt == "non_numeric":
+    if corrupt == "header":
+        header = header.replace("abs_g3", "abs_g4")
+    elif corrupt == "non_numeric":
         fields = rows[2].split(",")
         fields[2] = "abc"
         rows[2] = ",".join(fields)
