@@ -8,7 +8,6 @@ temperature throughout.
 
 from ._version import __version__
 from .correlators import (
-    CorrelatorValue,
     c1,
     c2_irreducible,
     c3_irreducible,
@@ -36,7 +35,6 @@ from .exact import (
 )
 from .model import (
     KGrid,
-    KMode,
     ModelParams,
     make_kgrid,
 )
@@ -55,14 +53,12 @@ __all__ = [
     "__version__",
     "BranchTrackingError",
     "ClaimResult",
-    "CorrelatorValue",
     "CumulantTerms",
     "CURVE_HEADER",
     "DecoherenceCurve",
     "DegenerateModeError",
     "FigureCheckReport",
     "KGrid",
-    "KMode",
     "ModelParams",
     "QuadratureConvergenceError",
     "SweepConfig",

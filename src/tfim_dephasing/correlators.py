@@ -1,6 +1,9 @@
 """Irreducible bath correlation functions entering the cumulant series, at zero
 temperature (no mode is excited).
 
+The scalar correlators take the k-grid and their times and return a float;
+``c2_values`` and ``c3_values`` are their forms on broadcast time arrays.
+
 Conventions:
   - sums run over all N modes as twice the k > 0 half-grid sum, and every
     cosine sum is the one kernel ``mode_cos_sum``;
@@ -12,20 +15,9 @@ Conventions:
     that contain the earliest time argument.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import KGrid, ModelParams, blocks
-
-
-@dataclass(frozen=True)
-class CorrelatorValue:
-    """One correlator evaluation: complex value, order, and time arguments."""
-
-    value: complex
-    order: int
-    times: tuple[float, ...]
+from .model import KGrid, blocks
 
 
 def mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs) -> np.ndarray:
@@ -48,10 +40,9 @@ def mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs) -> np.ndarray:
     return 2.0 * out.reshape(np.shape(diffs))
 
 
-def c1(params: ModelParams, grid: KGrid) -> CorrelatorValue:
+def c1(grid: KGrid) -> float:
     """First-order correlator: sum_k cos 2theta_k.  Time independent."""
-    value = 2.0 * float(np.sum(grid.cos2theta_pos))
-    return CorrelatorValue(complex(value, 0.0), 1, ())
+    return 2.0 * float(np.sum(grid.cos2theta_pos))
 
 
 def c2_values(grid: KGrid, t1, t2) -> np.ndarray:
@@ -59,13 +50,12 @@ def c2_values(grid: KGrid, t1, t2) -> np.ndarray:
     return mode_cos_sum(grid, np.ones_like(grid.eps_pos), np.abs(np.subtract(t1, t2)))
 
 
-def c2_irreducible(params: ModelParams, grid: KGrid, t1: float, t2: float) -> CorrelatorValue:
+def c2_irreducible(grid: KGrid, t1: float, t2: float) -> float:
     """Second-order irreducible correlator sum_k cos(2 eps_k (t1-t2)).
 
     Real, stationary (depends on t1 - t2 only) and even in the difference.
     """
-    value = float(c2_values(grid, t1, t2))
-    return CorrelatorValue(complex(value, 0.0), 2, (t1, t2))
+    return float(c2_values(grid, t1, t2))
 
 
 def c3_values(grid: KGrid, t1, t2, t3) -> np.ndarray:
@@ -76,9 +66,7 @@ def c3_values(grid: KGrid, t1, t2, t3) -> np.ndarray:
     return -(mode_cos_sum(grid, w, s[1] - s[0]) + mode_cos_sum(grid, w, s[2] - s[0]))
 
 
-def c3_irreducible(
-    params: ModelParams, grid: KGrid, t1: float, t2: float, t3: float
-) -> CorrelatorValue:
+def c3_irreducible(grid: KGrid, t1: float, t2: float, t3: float) -> float:
     """Third-order irreducible correlator.
 
     -sum_k sin^2(2theta_k) [ b13 cos(2 eps_k (t1-t3))
@@ -88,6 +76,5 @@ def c3_irreducible(
     with step-function brackets b_xy = 1 - theta(.)theta(.) - theta(.)theta(.),
     of which only the pairs containing the earliest argument survive.
     """
-    value = float(c3_values(grid, t1, t2, t3))
-    return CorrelatorValue(complex(value, 0.0), 3, (t1, t2, t3))
+    return float(c3_values(grid, t1, t2, t3))
 

@@ -181,8 +181,7 @@ def gamma_series(
     if max_order not in (1, 2, 3):
         raise ValueError(f"max_order must be 1, 2 or 3, got {max_order}")
     ts = checked_times(times)
-    terms = scaled_terms(params.g, c1(params, grid).value.real, ts,
-                         mode_sums(grid, ts, max_order), max_order)
+    terms = scaled_terms(params.g, c1(grid), ts, mode_sums(grid, ts, max_order), max_order)
     return [CumulantTerms(t, *z) for t, *z in zip(ts.tolist(), *terms.tolist())]
 
 

@@ -20,6 +20,8 @@ g^2 s^2)/(ab) - 1; a - b and Cm1 are cancellation-free rearrangements, so
 A_k(0) = A_k(g=0) = 1 holds exactly.  The legacy variant (``corrected=False``), kept for
 comparison only, breaks that identity: the same assembly, without e^{4igt}, on
 Cm1 = (eps^2 - s^2)/(ab) - 1, alpha = eps(1/b - 1/a)/2 and beta = -eps(1/b + 1/a)/2.
+``mode_overlap_closed_form`` is the one-mode, one-time view of either set, taking
+eps_k and s_k as numbers.
 
 The decoherence function is Gamma(t) = sum_{k>0} ln A_k(t), each log's branch tracked
 from Gamma(0) = 0.  Im ln A_k = 4gt + Im ln B_k, and B_k = e^{-4igt} A_k (not the
@@ -51,8 +53,7 @@ import numpy as np
 
 from .correlators import c1
 from .errors import BranchTrackingError
-from .model import (KGrid, KMode, ModelParams, block_rows, blocks, checked_times,
-                    mode_chunks)
+from .model import KGrid, ModelParams, block_rows, blocks, checked_times, mode_chunks
 
 OVERLAP_FLOOR = 1e-12
 ANCHOR_ROWS = 16  # requested times stepped from one closed-form evaluation, at most
@@ -143,10 +144,11 @@ def _closed_form_entries(eps, s2, g, ts):
 
 
 def mode_overlap_closed_form(
-    mode: KMode, g: float, t: float, corrected: bool = True
+    eps: float, sin2theta: float, g: float, t: float, corrected: bool = True
 ) -> complex:
-    """Closed-form overlap; ``corrected=False`` takes the legacy set (module docstring)."""
-    eps, s2, ts = np.array([mode.eps]), np.array([mode.sin2theta]), np.array([t])
+    """Closed-form overlap A_k(t) of the mode with eps_k = eps and sin 2theta_k = sin2theta;
+    ``corrected=False`` takes the legacy set (module docstring)."""
+    eps, s2, ts = np.array([eps]), np.array([sin2theta]), np.array([t])
     if corrected:
         return complex(_closed_form_entries(eps, s2, g, ts)[0, 0])
     a, b, apb, amb = _coefficients(eps, s2, g)[:4]
@@ -281,7 +283,7 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
             gamma[blk] += log_mags + 1j * im_part
             arg[0], mags[0], end_turns = arg[m], mags[m], turns[-1]
 
-    phase = -2j * ts * (params.omega0 + g * c1(params, grid).value.real)
+    phase = -2j * ts * (params.omega0 + g * c1(grid))
     return DecoherenceCurve(ts, gamma, phase, params)
 
 

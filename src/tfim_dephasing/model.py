@@ -13,6 +13,9 @@ and the Bogoliubov rotation, entering through
 
 The quotient forms are used directly; recovering the angle from its tangent
 would lose the quadrant.
+
+``KGrid`` holds them as arrays over the k > 0 half grid; a one-mode function
+takes a mode's numbers.
 """
 
 import math
@@ -102,16 +105,6 @@ def checked_times(times) -> np.ndarray:
     return ts
 
 
-@dataclass(frozen=True)
-class KMode:
-    """One Brillouin-zone mode with its precomputed single-mode quantities."""
-
-    k: float
-    eps: float
-    cos2theta: float
-    sin2theta: float
-
-
 @dataclass(frozen=True, eq=False)
 class KGrid:
     """The k > 0 half of the momentum grid with per-mode arrays, ascending in k.
@@ -128,11 +121,6 @@ class KGrid:
     eps_pos: np.ndarray = field(repr=False)
     cos2theta_pos: np.ndarray = field(repr=False)
     sin2theta_pos: np.ndarray = field(repr=False)
-
-    @property
-    def positive_modes(self) -> tuple[KMode, ...]:
-        cols = (self.k_pos, self.eps_pos, self.cos2theta_pos, self.sin2theta_pos)
-        return tuple(KMode(*map(float, row)) for row in zip(*cols))
 
 
 def make_kgrid(params: ModelParams) -> KGrid:

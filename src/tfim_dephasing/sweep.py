@@ -33,6 +33,7 @@ import numpy as np
 from .correlators import c1, c2_values, c3_values
 from .cumulants import check_quadrature_points, gamma_order3, mode_sums, scaled_terms
 from .cumulants import gamma_series  # noqa: F401 (perfbench/tracing.py wraps it here)
+from .errors import BranchTrackingError, QuadratureConvergenceError
 from .exact import gamma_exact
 from .model import ModelParams, checked_times, make_kgrid
 
@@ -184,7 +185,8 @@ def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
     """Each coupling's curve file content and summary row of values at field lam: the
     k-grid, c1 and g-free series mode sums are computed once, the exact route per g.
     Numpy overflow and invalid operations, and a non-finite series or computed exact
-    Gamma, raise FloatingPointError naming lambda and g."""
+    Gamma, raise FloatingPointError naming lambda and g; a BranchTrackingError of the
+    exact route is raised again naming them too."""
     params = ModelParams(N=config.N, lam=lam, g=0.0)
     grid = make_kgrid(params)
     ts = config.times()
@@ -193,7 +195,7 @@ def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
     try:
         with np.errstate(over="raise", invalid="raise"):
             sums = mode_sums(grid, ts, config.orders)
-            c1_value = c1(params, grid).value.real
+            c1_value = c1(grid)
             for g in gs:
                 point = f"lambda={lam:g}, g={g:g}"
                 terms = scaled_terms(g, c1_value, ts, sums, config.orders)
@@ -210,8 +212,8 @@ def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
                 rows = np.column_stack([ts, *pairs, abs_g2, abs_g3]).tolist()
                 out.append((_csv(CURVE_HEADER, rows),
                             (lam, g, _first_t(ts, abs_g3 > abs_g2), max_diff, near_critical)))
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"{point}: {exc}") from None
+    except (FloatingPointError, BranchTrackingError) as exc:
+        raise type(exc)(f"{point}: {exc}") from None
     return out
 
 
@@ -262,7 +264,7 @@ def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
         grid = make_kgrid(params)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                c1s = np.full_like(ts, c1(params, grid).value.real)
+                c1s = np.full_like(ts, c1(grid))
                 rows = np.column_stack([ts, c1s, c2_values(grid, ts, 0.0),
                                         c3_values(grid, ts, ts / 2.0, 0.0)])
                 if not np.isfinite(rows).all():
@@ -314,14 +316,18 @@ def _validate_order3_once(config: SweepConfig):
 
     The mode sum is exact by construction, so the check targets the time
     integration; it runs on a reduced grid (<= VALIDATION_MODES modes) to keep
-    the reference integration affordable.
+    the reference integration affordable.  A QuadratureConvergenceError is raised
+    again naming the point's lambda and g.
     """
     point = next(((lam, g) for lam, g in config.curves().values() if g != 0.0), None)
     if point is None:
         return
     params = ModelParams(min(config.N, VALIDATION_MODES), *point)
-    gamma_order3(params, make_kgrid(params), config.t_max,
-                 quadrature_points=config.quadrature_points)
+    try:
+        gamma_order3(params, make_kgrid(params), config.t_max,
+                     quadrature_points=config.quadrature_points)
+    except QuadratureConvergenceError as exc:
+        raise QuadratureConvergenceError(f"lambda={point[0]:g}, g={point[1]:g}: {exc}") from None
 
 
 @dataclass(frozen=True)

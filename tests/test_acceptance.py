@@ -65,8 +65,9 @@ def test_criterion_2_oracle_equivalence():
         grid = make_kgrid(ModelParams(N=16, lam=lam, g=0.0))
         worst = max(worst, certify_closed_form(grid, gs, times))
     # the legacy closed-form coefficients break the g = 0 identity
-    mode = make_kgrid(ModelParams(N=16, lam=0.5, g=0.0)).positive_modes[3]
-    legacy_defect = abs(mode_overlap_closed_form(mode, 0.0, 1.0, corrected=False) - 1.0)
+    half = make_kgrid(ModelParams(N=16, lam=0.5, g=0.0))
+    mode = float(half.eps_pos[3]), float(half.sin2theta_pos[3])
+    legacy_defect = abs(mode_overlap_closed_form(*mode, 0.0, 1.0, corrected=False) - 1.0)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and legacy_defect > 1e-3 and elapsed < 5.0
     assert _verdict(
@@ -180,28 +181,28 @@ def test_criterion_7_correlator_properties(mirrored):
     for _ in range(20):
         ts = rng.uniform(0, 5, 3)
         vals = [
-            c3_irreducible(params, grid, *(ts[list(p)])).value.real
+            c3_irreducible(grid, *(ts[list(p)]))
             for p in permutations(range(3))
         ]
         scale = max(max(abs(v) for v in vals), 1e-30)
         perm_worst = max(perm_worst, (max(vals) - min(vals)) / scale)
 
     stationary = (
-        c2_irreducible(params, grid, 1.5, 0.25).value
-        == c2_irreducible(params, grid, 1.5 + 4.0, 0.25 + 4.0).value
+        c2_irreducible(grid, 1.5, 0.25)
+        == c2_irreducible(grid, 1.5 + 4.0, 0.25 + 4.0)
     )
     even = (
-        c2_irreducible(params, grid, 2.5, 0.75).value
-        == c2_irreducible(params, grid, 0.75, 2.5).value
+        c2_irreducible(grid, 2.5, 0.75)
+        == c2_irreducible(grid, 0.75, 2.5)
     )
-    equal_time_is_n = c2_irreducible(params, grid, 1.1, 1.1).value == complex(20.0)
+    equal_time_is_n = c2_irreducible(grid, 1.1, 1.1) == complex(20.0)
 
     limit = -2.0 * float(np.sum(mirrored(grid).sin2theta**2))
     cont_worst = 0.0
     converging = True
     for perm in permutations((0.0, 1.0, 2.0)):
         gaps = [
-            abs(c3_irreducible(params, grid, *(1.0 + p * delta for p in perm)).value.real - limit)
+            abs(c3_irreducible(grid, *(1.0 + p * delta for p in perm)) - limit)
             for delta in (1e-4, 1e-5, 1e-6)
         ]
         converging = converging and gaps[1] < gaps[0] and gaps[2] < gaps[1]

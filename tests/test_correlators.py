@@ -27,39 +27,38 @@ def _mode_data(N, lam):
 
 def test_c1_lambda0_vanishes(model):
     params, grid = model(64, 0.0)
-    assert abs(c1(params, grid).value) < 1e-13 * 64
+    assert abs(c1(grid)) < 1e-13 * 64
 
 
 def test_c1_large_lambda(model):
     params, grid = model(16, 1e6)
-    assert c1(params, grid).value.real == pytest.approx(-16.0, rel=1e-6)
+    assert c1(grid) == pytest.approx(-16.0, rel=1e-6)
 
 
 def test_c1_frozen_and_oracle(model):
     params, grid = model(4, 2.0)
-    got = c1(params, grid).value.real
+    got = c1(grid)
     assert got == pytest.approx(C1_LAM2_N4, rel=1e-14)
     oracle = sum(c for _, _, c, _ in reversed(_mode_data(4, 2.0)))
     assert oracle == pytest.approx(C1_LAM2_N4, rel=1e-14)
-    assert c1(params, grid).order == 1 and c1(params, grid).times == ()
 
 
 def test_c2_equal_times_is_n(model):
     params, grid = model(10, 0.9)
-    assert c2_irreducible(params, grid, 0.7, 0.7).value == complex(10.0, 0.0)
+    assert c2_irreducible(grid, 0.7, 0.7) == complex(10.0, 0.0)
 
 
 def test_c2_lambda0_flat(model):
     params, grid = model(12, 0.0)
     dt = 0.37
-    assert c2_irreducible(params, grid, dt, 0.0).value.real == pytest.approx(
+    assert c2_irreducible(grid, dt, 0.0) == pytest.approx(
         12 * math.cos(4 * dt), rel=1e-12
     )
 
 
 def test_c2_frozen_and_oracle(model):
     params, grid = model(8, 0.5)
-    got = c2_irreducible(params, grid, 0.4, 0.1).value.real
+    got = c2_irreducible(grid, 0.4, 0.1)
     assert got == pytest.approx(C2_LAM05_N8_DT03, rel=1e-13)
     oracle = sum(math.cos(2 * e * 0.3) for _, e, _, _ in reversed(_mode_data(8, 0.5)))
     assert oracle == pytest.approx(C2_LAM05_N8_DT03, rel=1e-13)
@@ -69,15 +68,15 @@ def test_c2_stationarity(model):
     params, grid = model(8, 0.8)
     # dyadic times make the shifted differences bit-exact
     assert (
-        c2_irreducible(params, grid, 0.5, 0.25).value
-        == c2_irreducible(params, grid, 0.5 + 2.0, 0.25 + 2.0).value
+        c2_irreducible(grid, 0.5, 0.25)
+        == c2_irreducible(grid, 0.5 + 2.0, 0.25 + 2.0)
     )
     rng = np.random.default_rng(7)
     for _ in range(10):
         t1, t2, s = rng.uniform(0, 4, 3)
         diff = abs(
-            c2_irreducible(params, grid, t1 + s, t2 + s).value
-            - c2_irreducible(params, grid, t1, t2).value
+            c2_irreducible(grid, t1 + s, t2 + s)
+            - c2_irreducible(grid, t1, t2)
         )
         assert diff < 1e-12 * grid.N
 
@@ -85,8 +84,8 @@ def test_c2_stationarity(model):
 def test_c2_evenness_exact(model):
     params, grid = model(8, 1.1)
     assert (
-        c2_irreducible(params, grid, 1.9, 0.3).value
-        == c2_irreducible(params, grid, 0.3, 1.9).value
+        c2_irreducible(grid, 1.9, 0.3)
+        == c2_irreducible(grid, 0.3, 1.9)
     )
 
 
@@ -170,7 +169,7 @@ def test_c2_bound(model):
     rng = np.random.default_rng(3)
     for _ in range(20):
         t1, t2 = rng.uniform(0, 6, 2)
-        assert abs(c2_irreducible(params, grid, t1, t2).value) <= 30 + 1e-12
+        assert abs(c2_irreducible(grid, t1, t2)) <= 30 + 1e-12
 
 
 def _theta(x):
@@ -200,7 +199,7 @@ def test_c3_strict_ordering_brackets(model, mirrored):
     expect = -np.sum(
         s2sq * (np.cos(2 * full.eps * (t1 - t3)) + np.cos(2 * full.eps * (t2 - t3)))
     )
-    got = c3_irreducible(params, grid, t1, t2, t3).value.real
+    got = c3_irreducible(grid, t1, t2, t3)
     assert got == pytest.approx(expect, rel=1e-14)
     assert got == pytest.approx(_c3_bracket_oracle(8, 0.5, t1, t2, t3), rel=1e-12)
 
@@ -212,7 +211,7 @@ def test_c3_matches_literal_brackets_random(model):
         t1, t2, t3 = rng.uniform(0, 4, 3)
         if len({t1, t2, t3}) < 3:
             continue
-        got = c3_irreducible(params, grid, t1, t2, t3).value.real
+        got = c3_irreducible(grid, t1, t2, t3)
         assert got == pytest.approx(_c3_bracket_oracle(10, 1.3, t1, t2, t3), rel=1e-12)
 
 
@@ -220,13 +219,13 @@ def test_c3_coincident_times_limit(model, mirrored):
     params, grid = model(8, 0.7)
     t = 1.2
     expect = -2.0 * float(np.sum(mirrored(grid).sin2theta**2))
-    assert c3_irreducible(params, grid, t, t, t).value.real == pytest.approx(expect, rel=1e-14)
+    assert c3_irreducible(grid, t, t, t) == pytest.approx(expect, rel=1e-14)
     # delta-sequence: every strict ordering converges (O(delta^2)) to the value
     for perm in permutations((0.0, 1.0, 2.0)):
         gaps = []
         for delta in (1e-4, 1e-5, 1e-6):
             ts = [t + p * delta for p in perm]
-            gaps.append(abs(c3_irreducible(params, grid, *ts).value.real - expect))
+            gaps.append(abs(c3_irreducible(grid, *ts) - expect))
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
         assert gaps[-1] < 1e-9 * max(abs(expect), 1.0)
 
@@ -237,7 +236,7 @@ def test_c3_lambda0_example(model, mirrored):
     assert sin2_sum == pytest.approx(16 / 2, rel=1e-13)
     t1, t2, t3 = 1.5, 0.9, 0.2
     expect = -sin2_sum * (math.cos(4 * (t1 - t3)) + math.cos(4 * (t2 - t3)))
-    assert c3_irreducible(params, grid, t1, t2, t3).value.real == pytest.approx(
+    assert c3_irreducible(grid, t1, t2, t3) == pytest.approx(
         expect, rel=1e-12
     )
 
@@ -248,7 +247,7 @@ def test_c3_permutation_symmetry(model):
     for _ in range(20):
         ts = rng.uniform(0, 5, 3)
         vals = [
-            c3_irreducible(params, grid, *(ts[list(p)])).value.real
+            c3_irreducible(grid, *(ts[list(p)]))
             for p in permutations(range(3))
         ]
         scale = max(max(abs(v) for v in vals), 1e-30)
@@ -262,7 +261,7 @@ def test_c3_bound(model, mirrored):
     rng = np.random.default_rng(23)
     for _ in range(20):
         ts = rng.uniform(0, 6, 3)
-        assert abs(c3_irreducible(params, grid, *ts).value) <= cap
+        assert abs(c3_irreducible(grid, *ts)) <= cap
 
 
 def _c3_part(params, grid, t1, t2, t3):
@@ -275,7 +274,7 @@ def _c3_part(params, grid, t1, t2, t3):
     """
     d = np.multiply.outer([t1 - t2, t2 - t3, t1 - t3], grid.eps_pos)
     s12, s23, s13 = 2.0 * (grid.sin2theta_pos**2 * np.exp(-2j * d)).sum(axis=1)
-    one = c1(params, grid).value
+    one = c1(grid)
     return one**3 + one * s12 + one * s23 - 2.0 * s13
 
 
@@ -319,6 +318,6 @@ def test_c3_assembly_from_parts(model):
             + b12 * (cp(t2, t3, t1) + cp(t1, t3, t2))
             + b23 * (cp(t2, t1, t3) + cp(t3, t1, t2))
         )
-        direct = c3_irreducible(params, grid, t1, t2, t3).value
+        direct = c3_irreducible(grid, t1, t2, t3)
         assert abs(assembled - direct) <= 1e-12 * max(abs(direct), 1.0)
         assert abs(assembled.imag) < 1e-12

@@ -29,7 +29,7 @@ def test_gamma1_examples(model):
     params, grid = model(4, 2.0, g=1.0)
     assert gamma_order1(params, grid, 0.0) == 0.0
     assert gamma_order1(params, grid, 1.0) == pytest.approx(
-        2j * c1(params, grid).value.real, rel=1e-14
+        2j * c1(grid), rel=1e-14
     )
     assert gamma_order1(params, grid, 1.3).real == 0.0
 
@@ -117,7 +117,7 @@ def test_gamma3_quadrature_matches_kernel_sum(model):
                     tc = tb * u[l]
                     coords = [None, None, None]
                     coords[perm[0]], coords[perm[1]], coords[perm[2]] = ta, tb, tc
-                    kern = c3_irreducible(params, grid, *coords).value.real
+                    kern = c3_irreducible(grid, *coords)
                     total += wu[i] * wu[j] * wu[l] * t * ta * tb * kern
     expect = complex(0.0, -(4.0 / 3.0) * params.g**3 * total)
     got = gamma_order3_quadrature(params, grid, t, points=p)
@@ -219,7 +219,7 @@ def test_gamma_order3_quadrature_brackets_once_per_cell(model, monkeypatch):
         assert len(calls) == 6, points
 
 
-def test_gamma3_validation_hook(model):
+def test_gamma3_validation_hook(model, monkeypatch):
     params, grid = model(8, 0.5, g=1.0)
     val = gamma_order3(params, grid, 1.0, quadrature_points=24)
     assert val == pytest.approx(GAMMA3_LAM05_N8_G1_T1, rel=1e-13)
@@ -227,6 +227,15 @@ def test_gamma3_validation_hook(model):
         gamma_order3(params, grid, 1.0, quadrature_points=4)
     with pytest.raises(ValueError, match="points must be >= 2"):
         gamma_order3_quadrature(params, grid, 1.0, points=1)
+
+    def never(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    # at t = 0 or g = 0 the term is exactly 0 and the validation returns early
+    monkeypatch.setattr(cumulants, "gamma_order3_quadrature", never)
+    assert gamma_order3(params, grid, 0.0, quadrature_points=8) == 0.0
+    params_g0, grid_g0 = model(8, 0.5, g=0.0)
+    assert gamma_order3(params_g0, grid_g0, 1.0, quadrature_points=8) == 0.0
 
 
 def test_gamma3_validation_rejects_points_beyond_cap_first(model, monkeypatch):

@@ -10,7 +10,6 @@ from tfim_dephasing.exact import ANCHOR_ROWS
 from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, ModelParams, _mode_data, make_kgrid
 from tfim_dephasing import (
     BranchTrackingError,
-    KMode,
     certify_closed_form,
     gamma_exact,
     gamma_for_series_comparison,
@@ -22,12 +21,14 @@ from tfim_dephasing import (
 
 
 def _mode(k, lam):
-    return KMode(k, *map(float, _mode_data(k, lam)))
+    """(eps_k, sin 2theta_k) of the mode at k."""
+    eps, _, s2 = map(float, _mode_data(k, lam))
+    return eps, s2
 
 
 def test_oracle_identity_cases():
-    mode = _mode(math.pi / 4, 0.5)
-    eps, s2 = np.array([mode.eps]), np.array([mode.sin2theta])
+    eps, s2 = _mode(math.pi / 4, 0.5)
+    eps, s2 = np.array([eps]), np.array([s2])
     for g, t in ((0.0, 1.3), (1.7, 0.0)):
         got = exact_mod._oracle_entries(eps, s2, g, np.array([t]))[0, 0]
         assert got == pytest.approx(1.0, abs=1e-14)
@@ -59,9 +60,9 @@ def _rk4_overlaps(eps, s, g, ts, steps=4000):
 
 
 def test_oracle_against_rk4_stepping():
-    mode = _mode(math.pi / 4, 0.5)
+    eps, s2 = _mode(math.pi / 4, 0.5)
     g, t = 1.0, 0.7
-    eps, s2 = np.array([mode.eps]), np.array([mode.sin2theta])
+    eps, s2 = np.array([eps]), np.array([s2])
     overlap = _rk4_overlaps(eps, s2, g, [t])[0, 0]
     got = exact_mod._oracle_entries(eps, s2, g, np.array([t]))[0, 0]
     assert got == pytest.approx(complex(overlap), abs=1e-8)
@@ -92,9 +93,9 @@ def test_closed_form_matches_oracle(model):
     ts = np.array([0.3, 1.1, 2.7])
     for g in (0.0, 0.3, 1.5):
         oracle = exact_mod._oracle_entries(grid.eps_pos, grid.sin2theta_pos, g, ts)
-        for j, mode in enumerate(grid.positive_modes):
+        for j, mode in enumerate(zip(grid.eps_pos.tolist(), grid.sin2theta_pos.tolist())):
             for i, t in enumerate(ts.tolist()):
-                assert abs(mode_overlap_closed_form(mode, g, t) - oracle[i, j]) < 1e-12
+                assert abs(mode_overlap_closed_form(*mode, g, t) - oracle[i, j]) < 1e-12
 
 
 def test_certify_helper(model):
@@ -145,33 +146,33 @@ def test_certify_memory_bounded_by_block(model):
 
 def test_closed_form_exact_identities():
     mode = _mode(1.1, 0.8)
-    assert mode_overlap_closed_form(mode, 0.0, 2.2) == 1.0 + 0.0j
-    assert mode_overlap_closed_form(mode, 1.4, 0.0) == 1.0 + 0.0j
+    assert mode_overlap_closed_form(*mode, 0.0, 2.2) == 1.0 + 0.0j
+    assert mode_overlap_closed_form(*mode, 1.4, 0.0) == 1.0 + 0.0j
 
 
 def test_legacy_coefficients_break_zero_coupling():
     mode = _mode(math.pi / 4, 0.5)
-    legacy = mode_overlap_closed_form(mode, 0.0, 0.9, corrected=False)
+    legacy = mode_overlap_closed_form(*mode, 0.0, 0.9, corrected=False)
     assert abs(legacy - 1.0) > 0.1
 
 
 def test_mode_abc_invariants():
     """a, b and the overlap A_k of one mode."""
-    mode = _mode(0.9, 1.3)
-    a, b, *_ = exact_mod._coefficients(mode.eps, mode.sin2theta, 0.0)
-    assert a == b == pytest.approx(mode.eps, rel=1e-15)
-    a, b, *_ = exact_mod._coefficients(mode.eps, mode.sin2theta, 0.8)
+    eps, s2 = _mode(0.9, 1.3)
+    a, b, *_ = exact_mod._coefficients(eps, s2, 0.0)
+    assert a == b == pytest.approx(eps, rel=1e-15)
+    a, b, *_ = exact_mod._coefficients(eps, s2, 0.8)
     assert a > 0 and b > 0
-    assert abs(mode_overlap_closed_form(mode, 0.8, 1.7)) <= 1.0 + 1e-12
-    assert mode_overlap_closed_form(mode, 0.8, 0.0) == 1.0 + 0.0j
+    assert abs(mode_overlap_closed_form(eps, s2, 0.8, 1.7)) <= 1.0 + 1e-12
+    assert mode_overlap_closed_form(eps, s2, 0.8, 0.0) == 1.0 + 0.0j
 
 
 def test_overlap_magnitude_bounded(model):
     _, grid = model(16, 0.97)
-    for mode in grid.positive_modes[::3]:
+    for eps, s2 in zip(grid.eps_pos[::3].tolist(), grid.sin2theta_pos[::3].tolist()):
         for g in (0.01, 0.5, 2.0):
             for t in np.linspace(0, 4, 17):
-                assert abs(mode_overlap_closed_form(mode, g, float(t))) <= 1.0 + 1e-12
+                assert abs(mode_overlap_closed_form(eps, s2, g, float(t))) <= 1.0 + 1e-12
 
 
 def test_gamma_exact_zero_coupling(model):
@@ -191,7 +192,7 @@ def test_gamma_exact_basics(model):
     assert np.max(curve.gamma.real) <= 1e-10
     from tfim_dephasing import c1
 
-    expect_phase = -2j * ts * (0.3 + 0.7 * c1(params, grid).value.real)
+    expect_phase = -2j * ts * (0.3 + 0.7 * c1(grid))
     assert np.allclose(curve.deterministic_phase, expect_phase, atol=1e-14)
 
 

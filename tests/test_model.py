@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +16,8 @@ def test_grid_n4_lambda0(model, mirrored):
 
 def test_grid_n4_lambda2_mode(model):
     _, grid = model(4, 2.0)
-    mode = grid.positive_modes[1]
-    assert mode.k == pytest.approx(3 * np.pi / 4, rel=1e-15)
-    assert mode.eps == pytest.approx(2.0 * math.sqrt(5.0 + 2.0 * math.sqrt(2.0)), rel=1e-14)
+    assert grid.k_pos[1] == pytest.approx(3 * np.pi / 4, rel=1e-15)
+    assert grid.eps_pos[1] == pytest.approx(2.0 * math.sqrt(5.0 + 2.0 * math.sqrt(2.0)), rel=1e-14)
 
 
 def test_grid_critical_gap_n10000(model, mirrored):
@@ -88,13 +86,9 @@ def test_cos_sum_vanishes_lambda0(model, mirrored):
 
 def test_positive_modes(model):
     _, grid = model(10, 1.3)
-    pos = grid.positive_modes
-    assert len(pos) == 5
-    ks = [m.k for m in pos]
+    assert grid.k_pos.size == 5
+    ks = grid.k_pos.tolist()
     assert ks == sorted(ks) and all(k > 0 for k in ks)
-    cols = (grid.k_pos, grid.eps_pos, grid.cos2theta_pos, grid.sin2theta_pos)
-    assert [tuple(float.hex(v) for v in dataclasses.astuple(m)) for m in pos] == [
-        tuple(float.hex(float(c[i])) for c in cols) for i in range(5)]
 
 
 def test_dispersion_lower_bound(model, mirrored):

@@ -298,7 +298,7 @@ def reference_curve(config, lam, g):
     grid = make_kgrid(params)
     ts = np.linspace(0.0, config.t_max, config.t_steps)
     s2, s3 = cumulants.mode_sums(grid, ts, config.orders)
-    c1_value = c1(params, grid).value.real
+    c1_value = c1(grid)
     exact = gamma_exact(params, grid, ts).gamma.tolist() if config.emit_exact else None
     lines, t_star, max_diff = [CURVE_HEADER], None, None
     for i, t in enumerate(ts.tolist()):
@@ -520,9 +520,9 @@ def test_correlator_dump_mode(tmp_path):
             grid = make_kgrid(params)
             for line in lines[1:]:
                 t, c1_col, c2_col, c3_col = map(float, line.split(","))
-                assert c1_col == c1(params, grid).value.real
-                assert c2_col == c2_irreducible(params, grid, t, 0.0).value.real
-                assert c3_col == c3_irreducible(params, grid, t, t / 2.0, 0.0).value.real
+                assert c1_col == c1(grid)
+                assert c2_col == c2_irreducible(grid, t, 0.0)
+                assert c3_col == c3_irreducible(grid, t, t / 2.0, 0.0)
 
 
 def test_run_sweep_order3_validation(tmp_path):
@@ -700,12 +700,13 @@ def _never_converges(params, grid, t, points):
      ("gamma_order3_quadrature", _never_converges)),
 ], ids=["sweep-floor", "single-floor", "sweep-order3"])
 def test_cli_numerical_failure_exits_2(tmp_path, capsys, monkeypatch, argv, target, value):
+    """Exit 2, with a message that names the failing (lambda, g) point."""
     monkeypatch.setattr(target, *value)
     if argv[0] == "sweep":
         argv = [*argv, "--lambdas", "0.5", "--gs", "1", "--t-max", "4", "--t-steps", "17",
                 "--out", str(tmp_path / "out")]
     assert main([*argv, "--N", "8"]) == 2
-    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert capsys.readouterr().err.startswith("numerical failure: lambda=0.5, g=1: ")
 
 
 SINGLE_FLAGS = {"--lambda": "lam", "--g": "g", "--N": "N", "--t-max": "t_max",

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tfim_dephasing
-from tfim_dephasing import cli
+from tfim_dephasing import cli, sweep
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,21 +30,25 @@ def test_every_trace_target_resolves_in_the_package(tracing):
 
 def test_traced_sweep_and_check_record_every_layer(tracing, tmp_path, capsys):
     """The wrappers see the calls a sweep with the exact route and the order-3
-    validation makes, and bind the attributes they record."""
+    validation makes, and bind the attributes they record.  The sweep reaches the
+    series through ``mode_sums``, so ``gamma_series`` is called directly."""
     flags = ["--N", "8", "--lambdas", "0.5", "--gs", "0.5,1", "--t-steps", "8",
              "--out", str(tmp_path / "out")]
+    params = tfim_dephasing.ModelParams(N=8, lam=0.5, g=1.0)
     with tracing.Tracer() as tracer:
         assert cli.main(["sweep", *flags, "--emit-exact", "--validate-order3",
                          "--quadrature-points", "8", "--jobs", "1"]) == 0
         assert cli.main(["check", *flags, "--jobs", "1"]) == 0
+        sweep.gamma_series(params, tfim_dephasing.make_kgrid(params), [0.0, 0.5, 1.0])
     capsys.readouterr()
     spans = {}
     for span in tracer.spans:
         spans.setdefault(span["name"], []).append(span)
-    for name in ("model.make_kgrid", "exact.gamma_exact", "cumulants.gamma_order3",
-                 "cumulants.gamma_order3_quadrature", "correlators.c1", "sweep.run_sweep",
-                 "sweep.check_figures"):
+    for name in ("model.make_kgrid", "cumulants.gamma_series", "exact.gamma_exact",
+                 "cumulants.gamma_order3", "cumulants.gamma_order3_quadrature",
+                 "correlators.c1", "sweep.run_sweep", "sweep.check_figures"):
         assert spans.get(name), name
+    assert [s["mode_samples"] for s in spans["cumulants.gamma_series"]] == [8 * 3]
     assert spans["cumulants.gamma_order3_quadrature"][0]["points"] == 8
     assert spans["sweep.check_figures"][0]["claims_failed"] == 0
 
