@@ -151,14 +151,16 @@ def _validate_order3(params, grid, t, analytic, points):
     check_quadrature_points(points)
     if t == 0.0 or params.g == 0.0:
         return
-    ref = gamma_order3_quadrature(params, grid, t, points)
-    p = points
+    if not np.isfinite(analytic):  # a nan never settles: it would be refined up to the cap
+        raise QuadratureConvergenceError(f"order-3 closed form not finite at t={t}: {analytic}")
+    ref, p = gamma_order3_quadrature(params, grid, t, points), points
     while True:
         if 2 * p > ORDER3_POINTS_CAP:
             raise QuadratureConvergenceError(
-                f"order-3 quadrature not converged below {ORDER3_POINTS_CAP} points at t={t}"
-            )
+                f"order-3 quadrature not converged below {ORDER3_POINTS_CAP} points at t={t}")
         nxt = gamma_order3_quadrature(params, grid, t, 2 * p)
+        if not np.isfinite(nxt):  # a non-finite first ref fails the agreement test
+            raise QuadratureConvergenceError(f"order-3 quadrature not finite at t={t}: {nxt}")
         if abs(nxt - ref) <= 1e-8 * max(abs(nxt), 1e-300):
             ref = nxt
             break

@@ -33,7 +33,7 @@ largest radius exceeds the other three together (a half-plane: no winding); both
 in the coupling's one coefficient set (``_coefficients``).  Wraps follow np.unwrap's rule
 on arg B_k - rate_k t, exact where |B_k| at the two ends sums to more than width times
 speed_k; other intervals are halved at closed-form midpoints.
-The deterministic phase -2it(omega0 + g sum_k cos 2theta_k) is reported separately.
+The deterministic phase -2itg sum_k cos 2theta_k is reported separately.
 
 Time is walked in blocks of rows per mode chunk, in buffers allocated once per call.
 Every ANCHOR_ROWS-th row of a block takes the closed form; each row between is the step
@@ -61,12 +61,10 @@ ANCHOR_ROWS = 16  # requested times stepped from one closed-form evaluation, at 
 
 @dataclass(frozen=True, eq=False)
 class DecoherenceCurve:
-    """Gamma(t) samples with the deterministic phase and parameter echo."""
+    """Gamma(t) and the coupling's deterministic phase, both at the requested times."""
 
-    times: np.ndarray
     gamma: np.ndarray
     deterministic_phase: np.ndarray
-    meta: ModelParams
 
 
 def _oracle_entries(eps, s2, g, ts):
@@ -283,8 +281,7 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
             gamma[blk] += log_mags + 1j * im_part
             arg[0], mags[0], end_turns = arg[m], mags[m], turns[-1]
 
-    phase = -2j * ts * (params.omega0 + g * c1(grid))
-    return DecoherenceCurve(ts, gamma, phase, params)
+    return DecoherenceCurve(gamma, -2j * ts * (g * c1(grid)))
 
 
 def gamma_for_series_comparison(curve: DecoherenceCurve) -> np.ndarray:
@@ -296,5 +293,4 @@ def gamma_for_series_comparison(curve: DecoherenceCurve) -> np.ndarray:
     weak-coupling expansion lines up with the series terms order by order in
     the odd (imaginary) sector.
     """
-    omega0_part = -2j * curve.meta.omega0 * curve.times
-    return np.conj(curve.gamma + curve.deterministic_phase - omega0_part)
+    return np.conj(curve.gamma + curve.deterministic_phase)

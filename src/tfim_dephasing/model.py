@@ -43,22 +43,19 @@ class ModelParams:
     lam : float
         Transverse field strength, >= 0.  Critical at lam = 1.
     g : float
-        Qubit-bath coupling.
-    omega0 : float
-        Qubit level splitting; enters the deterministic phase only.
+        Qubit-bath coupling.  The qubit's own splitting never enters Gamma.
     """
 
     N: int
     lam: float
     g: float
-    omega0: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
             raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 2, got {self.N}")
-        for name in ("lam", "g", "omega0"):
+        for name in ("lam", "g"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         try:  # the series terms scale as g^2 and g^3
@@ -67,6 +64,10 @@ class ModelParams:
             raise ValueError(f"g must have a finite cube, got {self.g}") from None
         if not (self.lam >= 0):
             raise ValueError(f"lam must be >= 0, got {self.lam}")
+        try:  # the dispersion takes lam^2
+            float(self.lam) ** 2
+        except OverflowError:
+            raise ValueError(f"lam must have a finite square, got {self.lam}") from None
 
 
 def mode_chunks(n: int):

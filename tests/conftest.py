@@ -10,8 +10,8 @@ from tfim_dephasing import ModelParams, make_kgrid
 def model():
     """Factory returning (params, grid) for given model parameters."""
 
-    def build(N, lam, g=0.0, omega0=0.0):
-        params = ModelParams(N=N, lam=lam, g=g, omega0=omega0)
+    def build(N, lam, g=0.0):
+        params = ModelParams(N=N, lam=lam, g=g)
         return params, make_kgrid(params)
 
     return build

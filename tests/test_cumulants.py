@@ -236,6 +236,18 @@ def test_gamma3_validation_hook(model, monkeypatch):
     assert gamma_order3(params, grid, 0.0, quadrature_points=8) == 0.0
     params_g0, grid_g0 = model(8, 0.5, g=0.0)
     assert gamma_order3(params_g0, grid_g0, 1.0, quadrature_points=8) == 0.0
+    # an overflowing closed form is refused before the quadrature runs
+    params_big, grid_big = model(8, 0.5, g=5e102)
+    with pytest.raises(QuadratureConvergenceError, match="not finite"):
+        gamma_order3(params_big, grid_big, 1.0, quadrature_points=8)
+
+    # a nan reference never settles: the refinement stops at once, not at the cap
+    calls = []
+    monkeypatch.setattr(cumulants, "gamma_order3_quadrature",
+                        lambda *a, **k: calls.append(a) or complex(0.0, math.nan))
+    with pytest.raises(QuadratureConvergenceError, match="not finite"):
+        gamma_order3(params, grid, 1.0, quadrature_points=8)
+    assert 1 <= len(calls) <= 2
 
 
 def test_gamma3_validation_rejects_points_beyond_cap_first(model, monkeypatch):

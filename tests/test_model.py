@@ -119,7 +119,6 @@ def test_invalid_params(kwargs):
     [
         dict(N=4, lam=math.nan, g=0.0),
         dict(N=4, lam=0.5, g=-math.inf),
-        dict(N=4, lam=0.5, g=0.1, omega0=math.nan),
     ],
 )
 def test_non_finite_params_report_finiteness(kwargs):

@@ -662,6 +662,21 @@ def test_cli_rejects_coupling_whose_cube_overflows(tmp_path, capsys, g):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["1e155", "1e160", "1e200"])
+def test_cli_rejects_field_whose_square_overflows(tmp_path, capsys, lam):
+    # lam^2 overflows from about 1.34e154; the dispersion takes it for every mode
+    out = tmp_path / "overflow"
+    flags = ["--lambdas", lam, "--gs", "1", "--N", "16", "--t-steps", "4", "--out", str(out)]
+    for argv in (["sweep", *flags], ["sweep", "--correlators", *flags], ["check", *flags],
+                 ["single", "--lambda", lam, "--g", "1", "--N", "16", "--t-max", "5",
+                  "--t-steps", "4"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert "error: lam must have a finite square" in captured.err
+        assert captured.out == ""
+    assert not out.exists()
+
+
 NON_FINITE = {
     "coupling": ("5e102", ["--t-max", "5", "--t-steps", "64"]),  # g^3 finite, 2g^3 S3 not
     "time": ("1", ["--t-max", "1e308", "--t-steps", "3"]),  # t eps_k overflows

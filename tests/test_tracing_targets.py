@@ -10,15 +10,19 @@ import pytest
 import tfim_dephasing
 from tfim_dephasing import cli, sweep
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 def test_every_trace_target_resolves_in_the_package(tracing):
@@ -51,6 +55,19 @@ def test_traced_sweep_and_check_record_every_layer(tracing, tmp_path, capsys):
     assert [s["mode_samples"] for s in spans["cumulants.gamma_series"]] == [8 * 3]
     assert spans["cumulants.gamma_order3_quadrature"][0]["points"] == 8
     assert spans["sweep.check_figures"][0]["claims_failed"] == 0
+
+
+def test_benchmark_correctness_check_accepts_a_sweep(tmp_path, capsys, monkeypatch):
+    """The benchmark's own check reads the curve files and calls ``ModelParams``,
+    ``make_kgrid`` and ``gamma_exact(...).gamma``; a change to any of them fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings by name
+    run, workloads = _load("run"), importlib.import_module("workloads")
+    inputs = workloads.generate(workloads.tiny(workloads.WORKLOADS["sweep_exact"]), 3)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", *inputs.cli_flags(str(out))]) == 0
+    capsys.readouterr()
+    result = run.check(tfim_dephasing, inputs, out)
+    assert result.correct, result.problems
 
 
 def test_star_import_binds_every_public_name():
