@@ -29,7 +29,7 @@ import numpy as np
 
 from .correlators import c1, c2_values, mode_cos_sum
 from .errors import QuadratureConvergenceError
-from .model import KGrid, ModelParams, blocks, checked_times, mode_chunks
+from .model import KGrid, ModelParams, blocks, checked_coupling, checked_times, mode_chunks
 
 ORDER3_POINTS_CAP = 1024
 
@@ -182,8 +182,8 @@ def gamma_series(
     """Evaluate the per-order terms on a time grid; orders above max_order are zero."""
     if max_order not in (1, 2, 3):
         raise ValueError(f"max_order must be 1, 2 or 3, got {max_order}")
-    ts = checked_times(times)
-    terms = scaled_terms(params.g, c1(grid), ts, mode_sums(grid, ts, max_order), max_order)
+    g, ts = checked_coupling(params, grid), checked_times(times)
+    terms = scaled_terms(g, c1(grid), ts, mode_sums(grid, ts, max_order), max_order)
     return [CumulantTerms(t, *z) for t, *z in zip(ts.tolist(), *terms.tolist())]
 
 
@@ -197,10 +197,11 @@ def gamma_order2_quadrature(
     params: ModelParams, grid: KGrid, t: float, points: int = 64
 ) -> complex:
     """Reference value of the second order by tensor Gauss-Legendre on [0,t]^2."""
+    g = checked_coupling(params, grid)
     x, w = (t * v for v in _leggauss01(points))
     table = c2_values(grid, x[:, None], x[None, :])
     integral = float(np.einsum("i,j,ij->", w, w, table))
-    return complex(-2.0 * params.g**2 * integral, 0.0)
+    return complex(-2.0 * g**2 * integral, 0.0)
 
 
 def _order3_kernel_brackets(T1, T2, T3):
@@ -229,6 +230,7 @@ def gamma_order3_quadrature(
     cell uses is skipped.  The outer axis is walked in ``blocks`` of
     points^2-node rows, so memory is bounded by a slab, not by points^3.
     """
+    g = checked_coupling(params, grid)
     if points < 2:
         raise ValueError("points must be >= 2")
     s2sq = grid.sin2theta_pos**2
@@ -261,4 +263,4 @@ def gamma_order3_quadrature(
             cell_sums[coefs] = float(np.sum(wt * -sum(terms[1:], terms[0])))
         for coefs in cells:
             integral += cell_sums[coefs]
-    return complex(0.0, -(4.0 / 3.0) * params.g**3 * integral)
+    return complex(0.0, -(4.0 / 3.0) * g**3 * integral)

@@ -54,6 +54,7 @@ import numpy as np
 from .correlators import c1
 from .errors import BranchTrackingError
 from .model import KGrid, ModelParams, block_rows, blocks, checked_times, mode_chunks
+from .model import checked_coupling
 
 OVERLAP_FLOOR = 1e-12
 ANCHOR_ROWS = 16  # requested times stepped from one closed-form evaluation, at most
@@ -132,13 +133,12 @@ def _assemble(coef, ps, pd, re=None, im=None):
     return re, np.negative(im, out=im)
 
 
-def _closed_form_entries(eps, s2, g, ts):
-    """Corrected closed-form overlaps A_k, vectorized over times (rows) and modes."""
-    coef = _coefficients(eps, s2, g)
+def _closed_form_entries(coef, ts):
+    """B_k of the coefficient set ``coef`` in closed form; rows ts, columns modes."""
     ps, pd = _phasors(coef, ts[:, None])
     b = np.empty(pd.shape, dtype=complex)
     _assemble(coef, ps, pd, b.real, b.imag)
-    return np.exp(4j * g * ts)[:, None] * b
+    return b
 
 
 def mode_overlap_closed_form(
@@ -147,13 +147,13 @@ def mode_overlap_closed_form(
     """Closed-form overlap A_k(t) of the mode with eps_k = eps and sin 2theta_k = sin2theta;
     ``corrected=False`` takes the legacy set (module docstring)."""
     eps, s2, ts = np.array([eps]), np.array([sin2theta]), np.array([t])
+    coef = _coefficients(eps, s2, g)
     if corrected:
-        return complex(_closed_form_entries(eps, s2, g, ts)[0, 0])
-    a, b, apb, amb = _coefficients(eps, s2, g)[:4]
+        return complex((np.exp(4j * g * ts)[:, None] * _closed_form_entries(coef, ts))[0, 0])
+    a, b, apb, amb = coef[:4]
     legacy = (a, b, apb, amb, 0.5 * ((eps * eps - s2 * s2) / (a * b) - 1.0),
               0.5 * eps * (1.0 / b - 1.0 / a), -0.5 * eps * (1.0 / a + 1.0 / b))
-    re, im = _assemble(legacy, *_phasors(legacy, ts))
-    return complex(re[0], im[0])
+    return complex(_closed_form_entries(legacy, ts)[0, 0])
 
 
 def certify_closed_form(grid: KGrid, gs, times) -> float:
@@ -162,8 +162,8 @@ def certify_closed_form(grid: KGrid, gs, times) -> float:
     worst = 0.0
     for g in gs:
         for m in blocks(eps.size, 4 * ts.size):  # all times; a 2x2 matrix per mode and time
-            e, s = eps[m], s2[m]
-            diff = _closed_form_entries(e, s, g, ts) - _oracle_entries(e, s, g, ts)
+            b_k = _closed_form_entries(_coefficients(eps[m], s2[m], g), ts)
+            diff = np.exp(4j * g * ts)[:, None] * b_k - _oracle_entries(eps[m], s2[m], g, ts)
             worst = np.maximum(worst, np.max(np.abs(diff), initial=0.0))
     return float(worst)
 
@@ -236,8 +236,8 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
     Modes are summed over ``mode_chunks`` and time in ``blocks``.  Raises BranchTrackingError
     where |A_k| at a requested time or a bisection midpoint falls below OVERLAP_FLOOR.
     """
-    ts = checked_times(times)
-    g, coef = params.g, _coefficients(grid.eps_pos, grid.sin2theta_pos, params.g)
+    g, ts = checked_coupling(params, grid), checked_times(times)
+    coef = _coefficients(grid.eps_pos, grid.sin2theta_pos, g)
     t_all = np.concatenate([[0.0], ts])  # B_k(0) = 1, then the requested times
     widths = np.diff(t_all)
     # 4gt mod 2 pi joins each arg, its whole turns the wraps (2gNt after the sum cancels)

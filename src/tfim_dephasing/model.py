@@ -128,3 +128,11 @@ def make_kgrid(params: ModelParams) -> KGrid:
     """Build the k > 0 half grid k = (2l-1)*pi/N, l = 1..N/2, with its mode data."""
     k_pos = (2 * np.arange(1, params.N // 2 + 1) - 1) * np.pi / params.N
     return KGrid(params.N, params.lam, k_pos, *_mode_data(k_pos, params.lam))
+
+
+def checked_coupling(params: ModelParams, grid: KGrid) -> float:
+    """``params.g``; raises ValueError unless ``grid`` was built for params' N and lambda."""
+    if (grid.N, grid.lam) != (params.N, params.lam):
+        raise ValueError(f"grid built for (N, lambda) = ({grid.N}, {grid.lam}), "
+                         f"params give ({params.N}, {params.lam})")
+    return params.g

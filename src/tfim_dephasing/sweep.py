@@ -13,12 +13,12 @@ none in range) and the maximum |exact - series| over the grid.  Numbers are
 written with 17 significant digits (round-trip safe), LF line endings; serial
 reruns of the same configuration are byte-identical.
 
-The unit of work is one lambda with its couplings: the k-grid and the g-free
-series mode sums are computed once per lambda and scaled for each g, and the
-exact route runs once per g.  ``check`` reads the curve files back and rejects
-any whose ``t`` column is not the configured time grid, or whose ``abs_g3`` is 0
-at every t > 0 for a coupling whose |g|^3 is a normal float (a file written
-with orders < 3).
+The unit of work is one lambda: its couplings' curves (the k-grid and the g-free
+series mode sums computed once and scaled for each g, the exact route once per
+g), or with ``correlators`` its ``correlators_lambda<value>.csv``.  ``check``
+reads the curve files back and rejects any whose ``t`` column is not the
+configured time grid, or whose ``abs_g3`` is 0 at every t > 0 for a coupling
+whose |g|^3 is a normal float (a file written with orders < 3).
 """
 
 import math
@@ -78,11 +78,14 @@ class SweepConfig:
         """The t column of every curve and correlator file; ``check`` wants it bit for bit."""
         return np.linspace(0.0, self.t_max, self.t_steps)
 
-    def curves(self) -> dict[str, tuple[float, float]]:
-        """Each distinct curve file name with its (lambda, g), in sweep order.  Points
-        are told apart by their file names, so lambda = 0 and -0 are two curves;
-        validate() makes equal names mean equal points."""
-        return {curve_filename(lam, g): (lam, g) for lam in self.lambdas for g in self.gs}
+    def points(self) -> list[tuple[float, dict[str, float]]]:
+        """Each distinct lambda with its distinct couplings keyed by curve file name, in
+        sweep order.  Points are told apart by their file names, so lambda = 0 and -0
+        are two; validate() makes equal names mean equal points."""
+        by_lam = {}
+        for lam in self.lambdas:
+            by_lam.setdefault(f"{lam:g}", (lam, {curve_filename(lam, g): g for g in self.gs}))
+        return list(by_lam.values())
 
     def validate(self):
         if not self.lambdas or not self.gs:
@@ -222,15 +225,6 @@ def _first_t(ts: np.ndarray, where: np.ndarray) -> float | None:
     return next(iter(ts[where].tolist()), None)
 
 
-def _by_lambda(points) -> list[tuple[float, list[float]]]:
-    """Each distinct lambda of the (lambda, g) points with its couplings, in order;
-    lambdas are keyed as in the file names, so 0 and -0 stay apart."""
-    by_lam = {}
-    for lam, g in points:
-        by_lam.setdefault(f"{lam:g}", (lam, []))[1].append(g)
-    return list(by_lam.values())
-
-
 def _write_text(path: Path, text: str):
     """Write to a temporary file renamed into place: never a truncated ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -242,73 +236,66 @@ def _write_text(path: Path, text: str):
         tmp.unlink(missing_ok=True)
 
 
-def _sweep_task(payload):
-    """Compute and write the curve files of one lambda and some of its couplings;
-    returns (path, summary row) per g."""
-    config, lam, gs = payload
-    results = []
-    for g, (content, summary) in zip(gs, curve_csvs(config, lam, gs)):
-        path = Path(config.outputs) / curve_filename(lam, g)
-        _write_text(path, content)
-        results.append((path, summary))
-    return results
-
-
-def _write_correlator_dumps(config: SweepConfig) -> list[Path]:
-    """One correlator file per distinct lambda; numpy overflow and invalid operations, and
-    a non-finite value, raise FloatingPointError naming lambda."""
+def _correlator_csv(config: SweepConfig, lam: float) -> str:
+    """The correlator file content at field lam; numpy overflow and invalid operations,
+    and a non-finite value, raise FloatingPointError naming lambda."""
+    grid = make_kgrid(ModelParams(N=config.N, lam=lam, g=0.0))
     ts = config.times()
-    written = []
-    for lam, _ in _by_lambda(config.curves().values()):
-        params = ModelParams(N=config.N, lam=lam, g=0.0)
-        grid = make_kgrid(params)
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                c1s = np.full_like(ts, c1(grid))
-                rows = np.column_stack([ts, c1s, c2_values(grid, ts, 0.0),
-                                        c3_values(grid, ts, ts / 2.0, 0.0)])
-                if not np.isfinite(rows).all():
-                    raise FloatingPointError("non-finite correlator")
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"lambda={lam:g}: {exc}") from None
-        path = Path(config.outputs) / f"correlators_lambda{lam:g}.csv"
-        _write_text(path, _csv(CORRELATOR_HEADER, rows))
-        written.append(path)
-    return written
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            rows = np.column_stack([ts, np.full_like(ts, c1(grid)), c2_values(grid, ts, 0.0),
+                                    c3_values(grid, ts, ts / 2.0, 0.0)])
+            if not np.isfinite(rows).all():
+                raise FloatingPointError("non-finite correlator")
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"lambda={lam:g}: {exc}") from None
+    return _csv(CORRELATOR_HEADER, rows)
+
+
+def _sweep_task(payload):
+    """Compute and write one lambda's correlator file, or the curve files of some of its
+    couplings; returns (path, summary row) per file, the correlator file's row None."""
+    config, lam, gs = payload
+    outdir = Path(config.outputs)
+    if config.correlators:
+        files = [(outdir / f"correlators_lambda{lam:g}.csv", _correlator_csv(config, lam), None)]
+    else:
+        files = [(outdir / curve_filename(lam, g), *out)
+                 for g, out in zip(gs, curve_csvs(config, lam, gs))]
+    for path, content, _ in files:
+        _write_text(path, content)
+    return [(path, summary) for path, _, summary in files]
 
 
 def run_sweep(config: SweepConfig) -> list[Path]:
-    """Run the full sweep; returns the written file paths (summary last)."""
+    """Run the full sweep; returns the written file paths (a curve sweep's summary last)."""
     config.validate()
     outdir = Path(config.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    if config.correlators:
-        return _write_correlator_dumps(config)
-
-    if config.validate_order3 and config.orders >= 3:
+    points = config.points()
+    if config.validate_order3 and config.orders >= 3 and not config.correlators:
         _validate_order3_once(config)
 
-    # a repeated point is computed once but keeps its summary rows
-    names = [curve_filename(lam, g) for lam in config.lambdas for g in config.gs]
-    unique = config.curves()
-    # one task per distinct lambda; with fewer lambdas than jobs,
-    # ceil(jobs / #lambda) strided parts
-    by_lam = _by_lambda(unique.values())
-    parts = -(-config.jobs // len(by_lam))
-    payloads = [(config, lam, gs[j::parts]) for lam, gs in by_lam
+    # one task per distinct lambda: its correlator dump, or its curves, in
+    # ceil(jobs / #lambda) strided parts when there are fewer lambdas than jobs
+    parts = 1 if config.correlators else -(-config.jobs // len(points))
+    payloads = [(config, lam, list(gs.values())[j::parts]) for lam, gs in points
                 for j in range(min(parts, len(gs)))]
-    if config.jobs > 1:
-        # under fork the pool starts every worker at the first submit
+    if config.jobs > 1 and len(payloads) > 1:
+        # a lone task runs here; under fork the pool starts every worker at the first submit
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(payloads))) as pool:
             results = list(pool.map(_sweep_task, payloads))
     else:
         results = [_sweep_task(p) for p in payloads]
     done = {path.name: (path, summary) for result in results for path, summary in result}
+    if config.correlators:
+        return [path for path, _ in done.values()]
 
+    # a repeated point is computed once but keeps its summary rows
     summary_path = outdir / "summary.csv"
-    _write_text(summary_path, _csv(SUMMARY_HEADER, [done[n][1] for n in names]))
-    return [done[n][0] for n in unique] + [summary_path]
+    _write_text(summary_path, _csv(SUMMARY_HEADER, [done[curve_filename(lam, g)][1]
+                                                    for lam in config.lambdas for g in config.gs]))
+    return [done[name][0] for _, gs in points for name in gs] + [summary_path]
 
 
 def _validate_order3_once(config: SweepConfig):
@@ -319,7 +306,8 @@ def _validate_order3_once(config: SweepConfig):
     the reference integration affordable.  A QuadratureConvergenceError is raised
     again naming the point's lambda and g.
     """
-    point = next(((lam, g) for lam, g in config.curves().values() if g != 0.0), None)
+    point = next(((lam, g) for lam, gs in config.points() for g in gs.values() if g != 0.0),
+                 None)
     if point is None:
         return
     params = ModelParams(min(config.N, VALIDATION_MODES), *point)
@@ -404,17 +392,17 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
       - near critical (|1 - lam| <= NEAR_CRITICAL_WINDOW, strong coupling):
         |Gamma3(t)| is non-decreasing over the sampled window.
 
-    Each distinct curve file of config.curves() is judged under its own name.
+    Each distinct curve file of config.points() is judged under its own name.
     """
     if config.orders < 3:
         raise ValueError(f"check needs orders = 3, got {config.orders}: the regime claims "
                          "compare Gamma2 with Gamma3")
-    ts, points = config.times(), config.curves()
-    curves = {name: _read_curve(Path(config.outputs) / name, ts, g)
-              for name, (_, g) in points.items()}
+    ts, points = config.times(), config.points()
+    listed = [(name, lam, g) for lam, gs in points for name, g in gs.items()]
+    curves = {name: _read_curve(Path(config.outputs) / name, ts, g) for name, _, g in listed}
     later = ts > 0.0
     results = []
-    for name, (lam, g) in points.items():
+    for name, lam, g in listed:
         subject = f"lambda={lam:g}, g={g:g}"
         abs_g2, abs_g3 = curves[name]["abs_g2"], curves[name]["abs_g3"]
         if _cube_is_normal(g) and abs(g) <= WEAK_G_MAX and lam > 0.0:
@@ -439,8 +427,8 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
                 else f"|Gamma3| decreases at t={t:g}"))
 
     # one verdict per distinct lambda, over its distinct g with a normal |g|^3
-    for lam, lam_gs in _by_lambda(points.values()):
-        gs = [g for g in lam_gs if _cube_is_normal(g)]
+    for lam, lam_gs in points:
+        gs = [g for g in lam_gs.values() if _cube_is_normal(g)]
         if len(gs) < 2:
             continue
         ref, *scaled = (curves[curve_filename(lam, g)]["abs_g3"] / abs(g) ** 3 for g in gs)

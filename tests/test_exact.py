@@ -231,6 +231,12 @@ def test_gamma_exact_substeps_keep_branch(model, lam, steps, density):
     assert np.max(np.abs(coarse.real - dense.real) / np.abs(dense.real).clip(1e-300)) < 1e-13
 
 
+def _closed_form_overlaps(grid, g, ts):
+    """Closed-form A_k = e^{4igt} B_k of the grid's modes: rows ts, columns modes."""
+    coef = exact_mod._coefficients(grid.eps_pos, grid.sin2theta_pos, g)
+    return np.exp(4j * g * ts)[:, None] * exact_mod._closed_form_entries(coef, ts)
+
+
 def _normwise_gap(gamma, entries):
     """Largest gaps of Re Gamma from sum ln|A_k| and of Im Gamma from sum arg A_k
     (mod 2 pi), each over the largest |Gamma|."""
@@ -254,7 +260,7 @@ def test_gamma_exact_stepped_rows_match_closed_form(model, grid_kind, lam, g):
     params, grid = model(64, lam, g=g)
     ts = (_uneven_times(np.random.default_rng(40), 40, 6.0) if grid_kind == "uneven"
           else np.linspace(0.0, 6.0, 40))
-    entries = exact_mod._closed_form_entries(grid.eps_pos, grid.sin2theta_pos, g, ts)
+    entries = _closed_form_overlaps(grid, g, ts)
     re_gap, im_gap = _normwise_gap(gamma_exact(params, grid, ts).gamma, entries)
     assert re_gap < 1e-11 and im_gap < 1e-11
 
@@ -264,7 +270,7 @@ def test_gamma_exact_thousands_of_stepped_rows(model):
     the rest stepped."""
     params, grid = model(8, 0.9, g=1.0)
     ts = _uneven_times(np.random.default_rng(5000), 5000, 50.0)
-    entries = exact_mod._closed_form_entries(grid.eps_pos, grid.sin2theta_pos, 1.0, ts)
+    entries = _closed_form_overlaps(grid, 1.0, ts)
     re_gap, im_gap = _normwise_gap(gamma_exact(params, grid, ts).gamma, entries)
     assert re_gap < 1e-11 and im_gap < 1e-11
 
@@ -337,7 +343,7 @@ def test_closed_form_strong_coupling_against_extended_precision(model, lam, g):
     coupling = 1j * gl * grid.sin2theta_pos.astype(np.longdouble)
     p00, p01, _ = _longdouble_su2(-eps, coupling, eps - 4 * gl, tau)
     m00, _, m10 = _longdouble_su2(-eps, -coupling, eps + 4 * gl, -tau)
-    got = exact_mod._closed_form_entries(grid.eps_pos, grid.sin2theta_pos, g, ts)
+    got = _closed_form_overlaps(grid, g, ts)
     assert np.max(np.abs(got - (p00 * m00 + p01 * m10))) < 1e-11
 
 
@@ -459,7 +465,7 @@ def test_gamma_exact_floor_checked_at_bisection_midpoints(model, monkeypatch):
     between the smallest |B_k| at a requested time (0.125) and at a midpoint (0.0059)."""
     params, grid = model(16, 0.0, g=1.0)
     ts = np.linspace(0, 5, 9)
-    entries = exact_mod._closed_form_entries(grid.eps_pos, grid.sin2theta_pos, 1.0, ts)
+    entries = _closed_form_overlaps(grid, 1.0, ts)
     assert np.min(np.abs(entries)) > 0.1
     monkeypatch.setattr(exact_mod, "OVERLAP_FLOOR", 0.01)
     with pytest.raises(BranchTrackingError, match=r"below 0\.01 at t=.+, k=") as err:

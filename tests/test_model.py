@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from tfim_dephasing import DegenerateModeError, ModelParams, make_kgrid
+from tfim_dephasing import (
+    DegenerateModeError,
+    ModelParams,
+    gamma_exact,
+    gamma_order1,
+    gamma_order2,
+    gamma_order2_quadrature,
+    gamma_order3,
+    gamma_order3_quadrature,
+    gamma_series,
+    make_kgrid,
+)
 from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, _mode_data, blocks, mode_chunks
 
 
@@ -140,3 +151,24 @@ def test_mode_chunks_and_blocks_tile_the_range(n, width):
 def test_minimal_chain_allowed():
     grid = make_kgrid(ModelParams(N=2, lam=0.5, g=0.0))
     assert grid.k_pos.tolist() == [math.pi / 2]
+
+
+@pytest.mark.parametrize("grid_params", [(16, 0.5), (8, 2.0)], ids=["N", "lambda"])
+@pytest.mark.parametrize("entry", [
+    lambda p, grid: gamma_exact(p, grid, [0.0, 1.0]),
+    lambda p, grid: gamma_series(p, grid, [0.0, 1.0]),
+    lambda p, grid: gamma_order1(p, grid, 1.0),
+    lambda p, grid: gamma_order2(p, grid, 1.0),
+    lambda p, grid: gamma_order3(p, grid, 1.0),
+    lambda p, grid: gamma_order2_quadrature(p, grid, 1.0, 8),
+    lambda p, grid: gamma_order3_quadrature(p, grid, 1.0, 8),
+], ids=["exact", "series", "order1", "order2", "order3", "order2_quadrature",
+        "order3_quadrature"])
+def test_entry_points_refuse_a_grid_of_another_model(entry, grid_params):
+    """A grid built for another N or lambda than the params is refused, naming both."""
+    params = ModelParams(N=8, lam=0.5, g=1.0)
+    grid = make_kgrid(ModelParams(*grid_params, g=0.0))
+    with pytest.raises(ValueError, match=r"grid built for \(N, lambda\) = "
+                       rf"\({grid.N}, {grid.lam}\), params give \(8, 0\.5\)"):
+        entry(params, grid)
+    entry(params, make_kgrid(params))

@@ -259,16 +259,17 @@ def test_run_sweep_computes_mode_sums_once_per_lambda(tmp_path, monkeypatch):
 
 def test_run_sweep_bytes_do_not_depend_on_jobs(tmp_path):
     """g = 0 writes signed zeros and g = -0.5 negative odd orders; every task split
-    (one task per lambda at jobs 1 and 2, two strided parts per lambda at jobs 3)
-    writes the same bytes."""
-    runs = [run_sweep(small_config(tmp_path / f"j{jobs}", lambdas=(0.5, 1.0),
-                                   gs=(0.0, -0.5, 1.0), jobs=jobs))
-            for jobs in (1, 2, 3)]
-    assert len(runs[0]) == 7
-    assert [p.name for p in runs[0]] == [p.name for p in runs[2]]
-    for paths in zip(*runs, strict=True):
-        assert len({p.read_bytes() for p in paths}) == 1
-    rows = read_rows(Path(runs[0][0]))
+    (one task per lambda at jobs 1 and 2, two strided parts per lambda at jobs 3;
+    a correlator dump is one task per lambda at any jobs) writes the same bytes."""
+    for correlators, files in ((False, 7), (True, 2)):
+        runs = [run_sweep(small_config(tmp_path / f"{correlators}{jobs}", lambdas=(0.5, 1.0),
+                                       gs=(0.0, -0.5, 1.0), jobs=jobs, correlators=correlators))
+                for jobs in (1, 2, 3)]
+        assert len(runs[0]) == files
+        assert [p.name for p in runs[0]] == [p.name for p in runs[2]]
+        for paths in zip(*runs, strict=True):
+            assert len({p.read_bytes() for p in paths}) == 1
+    rows = read_rows(tmp_path / "False1" / "out" / curve_filename(0.5, 0.0))
     assert any(math.copysign(1.0, r["re_g2"]) < 0 and r["re_g2"] == 0.0 for r in rows)
 
 
@@ -360,6 +361,10 @@ def test_run_sweep_pool_capped_at_unique_points(tmp_path, monkeypatch):
     paths = run_sweep(small_config(tmp_path, lambdas=(0.5, 0.5), jobs=64))
     assert requested == [2]
     assert len(paths) == 3
+    # one task, a curve or a correlator dump, runs in this process
+    for i, kw in enumerate([dict(gs=(0.5,)), dict(correlators=True)]):
+        assert len(run_sweep(small_config(tmp_path / f"one{i}", jobs=2, **kw))) == 2 - i
+    assert requested == [2]
 
 
 def test_run_sweep_splits_one_lambda_over_jobs(tmp_path, monkeypatch):

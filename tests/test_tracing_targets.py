@@ -59,15 +59,17 @@ def test_traced_sweep_and_check_record_every_layer(tracing, tmp_path, capsys):
 
 def test_benchmark_correctness_check_accepts_a_sweep(tmp_path, capsys, monkeypatch):
     """The benchmark's own check reads the curve files and calls ``ModelParams``,
-    ``make_kgrid`` and ``gamma_exact(...).gamma``; a change to any of them fails here."""
+    ``make_kgrid`` and ``gamma_exact(...).gamma``; a change to any of them, or to a flag
+    that one of the workloads passes, fails here."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings by name
     run, workloads = _load("run"), importlib.import_module("workloads")
-    inputs = workloads.generate(workloads.tiny(workloads.WORKLOADS["sweep_exact"]), 3)
-    out = tmp_path / "out"
-    assert cli.main(["sweep", *inputs.cli_flags(str(out))]) == 0
-    capsys.readouterr()
-    result = run.check(tfim_dephasing, inputs, out)
-    assert result.correct, result.problems
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workloads.generate(workloads.tiny(workload), 3)
+        out = tmp_path / name
+        assert cli.main(["sweep", *inputs.cli_flags(str(out))]) == 0, name
+        capsys.readouterr()
+        result = run.check(tfim_dephasing, inputs, out)
+        assert result.correct, (name, result.problems)
 
 
 def test_star_import_binds_every_public_name():
