@@ -24,7 +24,6 @@ whose |g|^3 is a normal float (a file written with orders < 3).
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -265,6 +264,13 @@ def _sweep_task(payload):
     for path, content, _ in files:
         _write_text(path, content)
     return [(path, summary) for path, _, summary in files]
+
+
+def ProcessPoolExecutor(max_workers):  # noqa: N802 (the tracer and tests replace this name)
+    """concurrent.futures' pool, imported when a sweep first starts one: the import
+    loads multiprocessing, which a serial run never needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+    return pool_class(max_workers=max_workers)
 
 
 def run_sweep(config: SweepConfig) -> list[Path]:

@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +395,38 @@ def test_run_sweep_splits_one_lambda_over_jobs(tmp_path, monkeypatch):
     assert requested == [2]
     assert tasks == [(0.5, (0.25, 1.0)), (0.5, (0.5,))]
     assert [p.name for p in paths[:-1]] == [curve_filename(0.5, g) for g in (0.25, 0.5, 1.0)]
+
+
+def test_only_a_pool_loads_multiprocessing(tmp_path):
+    """In a fresh interpreter, commands that start no pool leave multiprocessing
+    unimported; a --jobs 2 sweep over two lambdas starts a real pool and writes the
+    bytes the --jobs 1 sweep wrote."""
+    child = textwrap.dedent("""
+        import sys
+        from tfim_dephasing import cli
+        pool = ("multiprocessing", "concurrent.futures.process")
+        flags = ["--lambdas", "0.5,1", "--gs", "0.5,1", "--N", "8", "--t-steps", "8",
+                 "--emit-exact"]
+        serial, pooled = sys.argv[1:]
+        assert cli.main(["sweep", *flags, "--jobs", "1", "--out", serial]) == 0
+        assert cli.main(["check", *flags, "--out", serial]) == 3
+        assert cli.main(["single", "--lambda", "0.5", "--g", "1", "--N", "8",
+                         "--t-max", "1", "--t-steps", "4"]) == 0
+        assert not [m for m in (*pool, "logging") if m in sys.modules], "loaded before a pool"
+        assert cli.main(["sweep", *flags, "--jobs", "2", "--out", pooled]) == 0
+        assert all(m in sys.modules for m in pool), "not loaded by the pool"
+    """)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    src = Path(sweep_module.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", child, str(serial), str(pooled)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in pooled.iterdir())
+    assert len(names) == 5 and "summary.csv" in names
+    for name in names:
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 def test_run_sweep_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ wrappers patch package attributes by name; a name that no longer resolves
 breaks a traced run, which the untraced runs never exercise."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,23 @@ def test_traced_sweep_and_check_record_every_layer(tracing, tmp_path, capsys):
     assert [s["mode_samples"] for s in spans["cumulants.gamma_series"]] == [8 * 3]
     assert spans["cumulants.gamma_order3_quadrature"][0]["points"] == 8
     assert spans["sweep.check_figures"][0]["claims_failed"] == 0
+
+
+def test_traced_pool_sweep_records_worker_spans(tmp_path, capsys, monkeypatch):
+    """With --jobs 2 the tracer's pool replaces ``sweep.ProcessPoolExecutor``: the
+    exact-route spans come back from the workers, and the package's own pool
+    callable is restored afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # pool tasks pickle the tracer by module name
+    tracing = importlib.import_module("tracing")
+    own_pool = sweep.ProcessPoolExecutor
+    with tracing.Tracer() as tracer:
+        assert cli.main(["sweep", "--N", "8", "--lambdas", "0.5,1", "--gs", "0.5,1",
+                         "--t-steps", "8", "--emit-exact", "--jobs", "2",
+                         "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert sweep.ProcessPoolExecutor is own_pool
+    pids = {s["pid"] for s in tracer.spans if s["name"] == "exact.gamma_exact"}
+    assert pids and os.getpid() not in pids
 
 
 def test_benchmark_correctness_check_accepts_a_sweep(tmp_path, capsys, monkeypatch):
