@@ -29,7 +29,8 @@ import numpy as np
 
 from .correlators import c1, c2_values, mode_cos_sum
 from .errors import QuadratureConvergenceError
-from .model import KGrid, ModelParams, blocks, checked_coupling, checked_times, mode_chunks
+from .model import KGrid, ModelParams, block_size, blocks, checked_coupling, checked_times
+from .model import mode_chunks
 
 ORDER3_POINTS_CAP = 1024
 
@@ -67,11 +68,11 @@ def mode_sums(grid: KGrid, ts: np.ndarray, max_order: int):
     with the factor 2 folded into the weights.  The first form has no
     cancellation; in the second, tau - h is exact where it cancels
     (Sterbenz), but tan's own rounding still leaves a relative error of
-    about ulp/h^2 for small h.  Each chunk's blocks are written into three
-    buffers (h, tau, q; 1 + q reuses h) sized by its first (longest) block,
-    in the operation order ``((tau - h) + h q) / (1 + q) * w3`` and
-    ``q / (1 + q) * w2``, followed by a row sum; a shorter last block uses
-    the leading rows only.
+    about ulp/h^2 for small h.  Every block is written into the leading
+    elements of three buffers (h, tau, q; 1 + q reuses h) allocated once per
+    call at ``model.block_size``, in the operation order
+    ``((tau - h) + h q) / (1 + q) * w3`` and ``q / (1 + q) * w2``, followed
+    by a row sum.
     """
     s2 = np.zeros_like(ts)
     s3 = np.zeros_like(ts)
@@ -79,13 +80,11 @@ def mode_sums(grid: KGrid, ts: np.ndarray, max_order: int):
         eps = grid.eps_pos
         w2 = 2.0 / eps**2
         w3 = 2.0 * grid.sin2theta_pos**2 / eps**3
+        buffers = np.empty((3, block_size(ts.size, eps.size)))
         for k in mode_chunks(eps.size):
-            buffers = None
-            for i in blocks(ts.size, eps[k].size):
-                rows = ts[i].size
-                if buffers is None:
-                    buffers = np.empty((3, rows, eps[k].size))
-                h, tau, q = buffers[:, :rows]
+            n = eps[k].size
+            for i in blocks(ts.size, n):
+                h, tau, q = buffers[:, :ts[i].size * n].reshape(3, -1, n)
                 np.multiply.outer(ts[i], eps[k], out=h)
                 np.tan(h, out=tau)
                 np.multiply(tau, tau, out=q)

@@ -35,7 +35,7 @@ on arg B_k - rate_k t, exact where |B_k| at the two ends sums to more than width
 speed_k; other intervals are halved at closed-form midpoints.
 The deterministic phase -2itg sum_k cos 2theta_k is reported separately.
 
-Time is walked in blocks of rows per mode chunk, in buffers allocated once per call.
+Time is walked in blocks of rows per mode chunk, in buffers sized once by ``model.block_size``.
 Every ANCHOR_ROWS-th row of a block takes the closed form; each row between is the step
 phasors e^{iw(a+/-b)} of its width w times the previous row, one pair per distinct width
 in the block.  Block rows, bisection midpoints and closed-form entries share one planar
@@ -53,11 +53,12 @@ import numpy as np
 
 from .correlators import c1
 from .errors import BranchTrackingError
-from .model import KGrid, ModelParams, block_rows, blocks, checked_times, mode_chunks
-from .model import checked_coupling
+from .model import BLOCK_ELEMENTS, MODE_CHUNK, KGrid, ModelParams, block_size, blocks
+from .model import checked_coupling, checked_times, mode_chunks
 
 OVERLAP_FLOOR = 1e-12
 ANCHOR_ROWS = 16  # requested times stepped from one closed-form evaluation, at most
+BISECTION_PIECES = 16 * BLOCK_ELEMENTS  # intervals in one level of _bisected_wraps, at most
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +199,9 @@ def _bisected_wraps(coef, k_pos, t, mags, arg):
     halved at closed-form midpoints, each checked against OVERLAP_FLOOR, until all pass."""
     (*_, rate, speed), piece, wraps = coef, np.arange(t.shape[1]), np.zeros(t.shape[1])
     while piece.size:
+        if 2 * piece.size > BISECTION_PIECES:
+            raise BranchTrackingError(f"branch bisection needs over {BISECTION_PIECES} pieces "
+                                      f"before t={np.max(t)}; raise t_steps")
         mid = 0.5 * (t[0] + t[1])
         if np.any((mid == t[0]) | (mid == t[1])):  # |B_k| < ulp(t) speed_k at both ends
             raise BranchTrackingError(f"cannot halve an interval before t={np.max(t)}")
@@ -234,7 +238,8 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
     """Exact Gamma(t) = sum_{k>0} ln A_k(t), branches by the module docstring's rule.
 
     Modes are summed over ``mode_chunks`` and time in ``blocks``.  Raises BranchTrackingError
-    where |A_k| at a requested time or a bisection midpoint falls below OVERLAP_FLOOR.
+    where |A_k| at a requested time or a bisection midpoint falls below OVERLAP_FLOOR, and
+    before a level of bisection holds more than BISECTION_PIECES intervals.
     """
     g, ts = checked_coupling(params, grid), checked_times(times)
     coef = _coefficients(grid.eps_pos, grid.sin2theta_pos, g)
@@ -243,19 +248,16 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
     # 4gt mod 2 pi joins each arg, its whole turns the wraps (2gNt after the sum cancels)
     whole, trace = np.divmod(4.0 * g * ts, 2.0 * np.pi)
     gamma, trace = np.zeros(ts.size, dtype=complex), trace[:, None]
-    rate, speed = coef[7:]
-    # per chunk: its modes, those whose B_k e^{-i rate_k t} may wind, and rows per block
-    chunks = [(k, np.flatnonzero(speed[k]), min(ts.size, block_rows(rate[k].size)))
-              for k in mode_chunks(rate.size)]
     # flat buffers for the largest block: a block of m rows views their leading elements,
     # and arg and mags keep the previous block's last row as their row 0
-    size = max(rows * rate[k].size for k, _, rows in chunks)
+    size = block_size(ts.size, grid.k_pos.size)
     phasor_buf, re_buf, im_buf = np.empty(2 * size, dtype=complex), np.empty(size), np.empty(size)
-    arg_buf = np.empty(max((rows + 1) * rate[k].size for k, _, rows in chunks))
-    mags_buf = np.empty(max((rows + 1) * tracked.size for _, tracked, rows in chunks))
-    for k, tracked, rows in chunks:
-        k_pos, chunk, n = grid.k_pos[k], [c[k] for c in coef], rate[k].size
+    arg_buf = np.empty(size + min(grid.k_pos.size, MODE_CHUNK))
+    for k in mode_chunks(grid.k_pos.size):
+        k_pos, chunk = grid.k_pos[k], [c[k] for c in coef]
+        n, tracked = k_pos.size, np.flatnonzero(chunk[8])  # B_k e^{-i rate_k t} may wind
         rate_k, speed_k = chunk[7], chunk[8][tracked]
+        mags_buf = np.empty((size // n + 1) * tracked.size)  # size // n >= rows of a block
         arg_buf[:n], mags_buf[:tracked.size], end_turns = 0.0, 1.0, 0.0
         for blk in blocks(ts.size, n):
             m = ts[blk].size

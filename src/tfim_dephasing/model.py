@@ -28,7 +28,7 @@ from .errors import DegenerateModeError
 RADICAND_FLOOR = 1e-300
 # Modes per chunk of the k > 0 half-grid sums; chunk bounds depend on N only.
 MODE_CHUNK = 4096
-# Elements per (time x mode) block of the mode kernels; bounds their temporaries.
+# Elements per (time x mode) block of the kernels' temporaries; MODE_CHUNK <= BLOCK_ELEMENTS.
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -75,15 +75,15 @@ def mode_chunks(n: int):
     return (slice(lo, lo + MODE_CHUNK) for lo in range(0, n, MODE_CHUNK))
 
 
-def block_rows(width: int) -> int:
-    """Rows of ``width`` elements in one block: max(1, BLOCK_ELEMENTS // width)."""
-    return max(1, BLOCK_ELEMENTS // max(width, 1))
-
-
 def blocks(n: int, width: int):
-    """Slices of ``block_rows(width)`` rows covering range(n)."""
-    rows = block_rows(width)
+    """Slices of max(1, BLOCK_ELEMENTS // width) rows of ``width`` elements covering range(n)."""
+    rows = max(1, BLOCK_ELEMENTS // max(width, 1))
     return (slice(lo, lo + rows) for lo in range(0, n, rows))
+
+
+def block_size(times: int, modes: int) -> int:
+    """Elements in the largest block of ``blocks`` of ``times`` rows in ``mode_chunks(modes)``."""
+    return min(times * min(modes, MODE_CHUNK), BLOCK_ELEMENTS)
 
 
 def _mode_data(k, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -309,8 +309,8 @@ def _validate_order3_once(config: SweepConfig):
 
     The mode sum is exact by construction, so the check targets the time
     integration; it runs on a reduced grid (<= VALIDATION_MODES modes) to keep
-    the reference integration affordable.  A QuadratureConvergenceError is raised
-    again naming the point's lambda and g.
+    the reference integration affordable.  Its errors, numpy overflow and invalid
+    operations among them, are raised again naming the point's lambda and g.
     """
     point = next(((lam, g) for lam, gs in config.points() for g in gs.values() if g != 0.0),
                  None)
@@ -318,10 +318,11 @@ def _validate_order3_once(config: SweepConfig):
         return
     params = ModelParams(min(config.N, VALIDATION_MODES), *point)
     try:
-        gamma_order3(params, make_kgrid(params), config.t_max,
-                     quadrature_points=config.quadrature_points)
-    except QuadratureConvergenceError as exc:
-        raise QuadratureConvergenceError(f"lambda={point[0]:g}, g={point[1]:g}: {exc}") from None
+        with np.errstate(over="raise", invalid="raise"):
+            gamma_order3(params, make_kgrid(params), config.t_max,
+                         quadrature_points=config.quadrature_points)
+    except (QuadratureConvergenceError, FloatingPointError) as exc:
+        raise type(exc)(f"lambda={point[0]:g}, g={point[1]:g}: {exc}") from None
 
 
 @dataclass(frozen=True)

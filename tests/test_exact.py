@@ -460,6 +460,15 @@ def test_bisection_stops_at_adjacent_floats(model):
                                   np.zeros((2, 1)))
 
 
+def test_bisection_refuses_a_level_past_its_cap(model):
+    """At t_max = 1e6 with three times, an interval of 5e5 needs about 2^21 pieces in its
+    last level; the bisection raises before a level passes BISECTION_PIECES and names t."""
+    params, grid = model(16, 0.5, g=1.0)
+    with pytest.raises(BranchTrackingError, match=r"over 1048576 pieces before t=1000000\.0; "
+                                                  r"raise t_steps"):
+        gamma_exact(params, grid, np.linspace(0.0, 1e6, 3))
+
+
 def test_gamma_exact_floor_checked_at_bisection_midpoints(model, monkeypatch):
     """At lam = 0 no circle dominates, so intervals are halved; the floor sits
     between the smallest |B_k| at a requested time (0.125) and at a midpoint (0.0059)."""

@@ -15,7 +15,8 @@ from tfim_dephasing import (
     gamma_series,
     make_kgrid,
 )
-from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, _mode_data, blocks, mode_chunks
+from tfim_dephasing.model import BLOCK_ELEMENTS, MODE_CHUNK, _mode_data, block_size, blocks
+from tfim_dephasing.model import mode_chunks
 
 
 def test_grid_n4_lambda0(model, mirrored):
@@ -146,6 +147,12 @@ def test_mode_chunks_and_blocks_tile_the_range(n, width):
         assert [i for part in parts for i in part] == list(range(n))
         assert all(len(part) == size for part in parts[:-1])
         assert all(0 < len(part) <= size for part in parts[-1:])
+    # a walk over n times in the chunks of ``width`` modes hands a kernel no more than
+    # block_size elements, because a chunk is never wider than a block
+    assert MODE_CHUNK <= BLOCK_ELEMENTS
+    for chunk in mode_chunks(width):
+        modes = len(range(width)[chunk])
+        assert all(len(range(n)[s]) * modes <= block_size(n, width) for s in blocks(n, modes))
 
 
 def test_minimal_chain_allowed():

@@ -743,6 +743,50 @@ def test_cli_refuses_non_finite_gamma(tmp_path, capsys, case):
         assert list(out.iterdir()) == []
 
 
+def test_cli_refuses_a_bisection_past_its_cap(tmp_path, capsys):
+    """A branch bisection that would pass BISECTION_PIECES exits 2 naming the point and
+    asking for more t_steps, and writes no curve file and no summary."""
+    out = tmp_path / "out"
+    flags = ["--lambdas", "0.5", "--gs", "1", "--N", "16", "--t-max", "1e6", "--t-steps", "3"]
+    assert main(["sweep", *flags, "--emit-exact", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: lambda=0.5, g=1: ") and err.count("\n") == 1
+    assert err.rstrip().endswith("raise t_steps")
+    assert list(out.iterdir()) == []
+
+
+def test_cli_order3_validation_overflow_exits_2(tmp_path, capsys):
+    """The order-3 validation runs under the sweep's numpy rule: an overflow is one
+    exit-2 line naming the point, not numpy warnings before it."""
+    out = tmp_path / "out"
+    assert main(["sweep", "--lambdas", "0.5", "--gs", "1", "--N", "16", "--t-max", "1e308",
+                 "--t-steps", "3", "--validate-order3", "--quadrature-points", "8",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: lambda=0.5, g=1: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, name, stub, message", [
+    (["--emit-exact"], "gamma_exact",
+     lambda params, grid, ts: exact_module.DecoherenceCurve(np.full(ts.size, complex(math.nan)),
+                                                            np.zeros(ts.size, dtype=complex)),
+     "lambda=0.5, g=1: non-finite Gamma"),
+    (["--correlators"], "c2_values", lambda grid, ts, beta: np.full(ts.size, math.inf),
+     "lambda=0.5: non-finite correlator"),
+], ids=["exact", "correlator"])
+def test_cli_refuses_non_finite_results_that_raise_nothing(tmp_path, capsys, monkeypatch,
+                                                            argv, name, stub, message):
+    """A non-finite value that no numpy operation flags is still refused: exit 2 naming
+    the point, and no file written."""
+    monkeypatch.setattr(sweep_module, name, stub)
+    out = tmp_path / "out"
+    assert main(["sweep", *argv, "--lambdas", "0.5", "--gs", "1", "--N", "16", "--t-steps", "4",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 def _never_converges(params, grid, t, points):
     return complex(0.0, points)
 
