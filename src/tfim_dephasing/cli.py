@@ -69,8 +69,8 @@ def _config_from_args(args) -> SweepConfig:
 def _run_single(args) -> int:
     config = load_config(None, lambdas=(args.lam,), gs=(args.g,), N=args.N, t_max=args.t_max,
                          t_steps=args.t_steps, orders=args.orders, emit_exact=True)
-    [(content, _)] = curve_csvs(config, args.lam, [args.g])
-    sys.stdout.write(content)
+    [(chunks, _)] = curve_csvs(config, args.lam, [args.g])
+    sys.stdout.writelines(chunks)
     return 0
 
 

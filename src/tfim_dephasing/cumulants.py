@@ -78,11 +78,11 @@ def mode_sums(grid: KGrid, ts: np.ndarray, max_order: int):
     s3 = np.zeros_like(ts)
     if max_order >= 2:
         eps = grid.eps_pos
-        w2 = 2.0 / eps**2
-        w3 = 2.0 * grid.sin2theta_pos**2 / eps**3
         buffers = np.empty((3, block_size(ts.size, eps.size)))
         for k in mode_chunks(eps.size):
             n = eps[k].size
+            w2 = 2.0 / eps[k]**2
+            w3 = 2.0 * grid.sin2theta_pos[k]**2 / eps[k]**3
             for i in blocks(ts.size, n):
                 h, tau, q = buffers[:, :ts[i].size * n].reshape(3, -1, n)
                 np.multiply.outer(ts[i], eps[k], out=h)
@@ -95,10 +95,10 @@ def mode_sums(grid: KGrid, ts: np.ndarray, max_order: int):
                 np.add(1.0, q, out=h)
                 if max_order >= 3:
                     tau /= h
-                    tau *= w3[k]
+                    tau *= w3
                     s3[i] += tau.sum(axis=1)
                 q /= h
-                q *= w2[k]
+                q *= w2
                 s2[i] += q.sum(axis=1)
     return s2, s3
 

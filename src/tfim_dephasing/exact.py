@@ -242,7 +242,6 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
     before a level of bisection holds more than BISECTION_PIECES intervals.
     """
     g, ts = checked_coupling(params, grid), checked_times(times)
-    coef = _coefficients(grid.eps_pos, grid.sin2theta_pos, g)
     t_all = np.concatenate([[0.0], ts])  # B_k(0) = 1, then the requested times
     widths = np.diff(t_all)
     # 4gt mod 2 pi joins each arg, its whole turns the wraps (2gNt after the sum cancels)
@@ -254,7 +253,7 @@ def gamma_exact(params: ModelParams, grid: KGrid, times: np.ndarray) -> Decohere
     phasor_buf, re_buf, im_buf = np.empty(2 * size, dtype=complex), np.empty(size), np.empty(size)
     arg_buf = np.empty(size + min(grid.k_pos.size, MODE_CHUNK))
     for k in mode_chunks(grid.k_pos.size):
-        k_pos, chunk = grid.k_pos[k], [c[k] for c in coef]
+        k_pos, chunk = grid.k_pos[k], _coefficients(grid.eps_pos[k], grid.sin2theta_pos[k], g)
         n, tracked = k_pos.size, np.flatnonzero(chunk[8])  # B_k e^{-i rate_k t} may wind
         rate_k, speed_k = chunk[7], chunk[8][tracked]
         mags_buf = np.empty((size // n + 1) * tracked.size)  # size // n >= rows of a block

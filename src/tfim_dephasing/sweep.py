@@ -10,8 +10,9 @@ with the fixed header
 
 plus a ``summary.csv`` with the first time |Gamma3| exceeds |Gamma2| (empty if
 none in range) and the maximum |exact - series| over the grid.  Numbers are
-written with 17 significant digits (round-trip safe), LF line endings; serial
-reruns of the same configuration are byte-identical.
+written with 17 significant digits (round-trip safe), LF line endings, a block
+of CSV_BLOCK_ROWS rows at a time; serial reruns of the same configuration are
+byte-identical.
 
 The unit of work is one lambda: its couplings' curves (the k-grid and the g-free
 series mode sums computed once and scaled for each g, the exact route once per
@@ -24,7 +25,9 @@ whose |g|^3 is a normal float (a file written with orders < 3).
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +52,7 @@ STRONG_G_MIN = 0.5
 SCALING_REL_TOL = 1e-6
 MONOTONE_REL_TOL = 1e-9
 VALIDATION_MODES = 32
+CSV_BLOCK_ROWS = 256  # rows formatted per written chunk: memory bounded by a block, not by T
 
 
 @dataclass(frozen=True)
@@ -166,26 +170,36 @@ def load_config(path, **overrides) -> SweepConfig:
     return config
 
 
-def _csv(header: str, rows) -> str:
-    """CSV text: ``header``, then one LF-terminated line per row with each value
-    at 17 significant digits (round-trip safe) and ``None`` as an empty field."""
+def _csv(header: str, rows) -> Iterator[str]:
+    """CSV text in chunks: ``header``, then the lines of CSV_BLOCK_ROWS rows at a time,
+    each LF-terminated with every value at 17 significant digits (round-trip safe) and
+    ``None`` as an empty field.  An array's rows become Python floats a block at a time."""
     template = ",".join(["%.17g"] * (header.count(",") + 1))
-    lines = [header]
-    for row in map(tuple, rows):
-        # "%.0s" writes any value, here None, as an empty field
-        fmt = template if None not in row else ",".join("%.0s" if v is None else "%.17g"
-                                                        for v in row)
-        lines.append(fmt % row)
-    return "\n".join(lines) + "\n"
+    yield header + "\n"
+    if isinstance(rows, np.ndarray):
+        blocks = (rows[i:i + CSV_BLOCK_ROWS].tolist()
+                  for i in range(0, len(rows), CSV_BLOCK_ROWS))
+    else:
+        rows = iter(rows)
+        blocks = iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), [])
+    for block in blocks:
+        lines = []
+        for row in map(tuple, block):
+            # "%.0s" writes any value, here None, as an empty field
+            fmt = template if None not in row else ",".join("%.0s" if v is None else "%.17g"
+                                                            for v in row)
+            lines.append(fmt % row)
+        yield "\n".join(lines) + "\n"
 
 
 def curve_filename(lam: float, g: float) -> str:
     return f"curve_lambda{lam:g}_g{g:g}.csv"
 
 
-def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
-    """Each coupling's curve file content and summary row of values at field lam: the
-    k-grid, c1 and g-free series mode sums are computed once, the exact route per g.
+def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[Iterator[str], tuple]]:
+    """Each coupling's curve file content, as ``_csv`` chunks of its numeric table, and
+    summary row of values at field lam: the k-grid, c1 and g-free series mode sums are
+    computed once, the exact route per g.  Every table is computed before any is returned.
     Numpy overflow and invalid operations, and a non-finite series or computed exact
     Gamma, raise FloatingPointError naming lambda and g; a BranchTrackingError of the
     exact route is raised again naming them too."""
@@ -211,7 +225,7 @@ def curve_csvs(config: SweepConfig, lam: float, gs) -> list[tuple[str, tuple]]:
                                         for z in (*terms[1:3], exact - terms[3]))
                 max_diff = float(diff.max()) if config.emit_exact else None
                 pairs = [x for z in (*terms, exact) for x in (z.real, z.imag)]  # re_*, im_*
-                rows = np.column_stack([ts, *pairs, abs_g2, abs_g3]).tolist()
+                rows = np.column_stack([ts, *pairs, abs_g2, abs_g3])
                 out.append((_csv(CURVE_HEADER, rows),
                             (lam, g, _first_t(ts, abs_g3 > abs_g2), max_diff, near_critical)))
     except (FloatingPointError, BranchTrackingError) as exc:
@@ -224,20 +238,22 @@ def _first_t(ts: np.ndarray, where: np.ndarray) -> float | None:
     return next(iter(ts[where].tolist()), None)
 
 
-def _write_text(path: Path, text: str):
-    """Write to a temporary file renamed into place: never a truncated ``path``."""
+def _write_text(path: Path, chunks: Iterator[str]):
+    """Write the text chunks, one ``write`` each, to a temporary file renamed into place:
+    never a truncated ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _correlator_csv(config: SweepConfig, lam: float) -> str:
-    """The correlator file content at field lam; numpy overflow and invalid operations,
-    and a non-finite value, raise FloatingPointError naming lambda."""
+def _correlator_csv(config: SweepConfig, lam: float) -> Iterator[str]:
+    """The correlator file content at field lam, as ``_csv`` chunks; numpy overflow and
+    invalid operations, and a non-finite value, raise FloatingPointError naming lambda."""
     grid = make_kgrid(ModelParams(N=config.N, lam=lam, g=0.0))
     ts = config.times()
     try:
@@ -261,8 +277,8 @@ def _sweep_task(payload):
     else:
         files = [(outdir / curve_filename(lam, g), *out)
                  for g, out in zip(gs, curve_csvs(config, lam, gs))]
-    for path, content, _ in files:
-        _write_text(path, content)
+    for path, chunks, _ in files:
+        _write_text(path, chunks)
     return [(path, summary) for path, _, summary in files]
 
 
@@ -349,27 +365,31 @@ class FigureCheckReport:
 
 
 def _read_curve(path: Path, ts: np.ndarray, g: float) -> dict[str, np.ndarray]:
-    """The columns of the curve file of coupling g; ValueError unless it exists and
-    its rows are 13 numbers at the times ts, with abs_g3 nonzero at some t > 0
-    where |g|^3 is a normal float (else the file was written with orders < 3)."""
+    """The abs_g2 and abs_g3 columns of the curve file of coupling g, parsed from the
+    open file (no whole-file text); ValueError unless it exists and all its rows are 13
+    numbers at the times ts, with abs_g3 nonzero at some t > 0 where |g|^3 is a normal
+    float (else the file was written with orders < 3)."""
     if not path.exists():
         raise ValueError(f"missing sweep output {path}; run the sweep first")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != CURVE_HEADER:
-        raise ValueError(f"{path}: unexpected or missing curve header")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: no data rows")
     cols = CURVE_HEADER.split(",")
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed curve row: {exc}") from None
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != CURVE_HEADER:
+            raise ValueError(f"{path}: unexpected or missing curve header")
+        first_row = fh.tell()
+        if not fh.readline():
+            raise ValueError(f"{path}: no data rows")
+        fh.seek(first_row)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed curve row: {exc}") from None
     if data.shape[1] != len(cols):
         raise ValueError(f"{path}: {data.shape[1]} fields per row, expected {len(cols)}")
     if not np.array_equal(data[:, 0], ts):
         raise ValueError(f"{path}: times differ from t_max={ts[-1]:g}, t_steps={ts.size}; "
                          "run the sweep with the same grid")
-    cur = {name: data[:, i] for i, name in enumerate(cols)}
+    # copies, so the 13-column table is freed on return
+    cur = {name: data[:, cols.index(name)].copy() for name in ("abs_g2", "abs_g3")}
     # below a normal |g|^3 a zero column is genuine
     if _cube_is_normal(g) and not cur["abs_g3"][ts > 0.0].any():
         raise ValueError(f"{path}: abs_g3 is 0 at every t > 0 although g = {g:g}; "
@@ -404,6 +424,9 @@ def check_figures(config: SweepConfig) -> FigureCheckReport:
     if config.orders < 3:
         raise ValueError(f"check needs orders = 3, got {config.orders}: the regime claims "
                          "compare Gamma2 with Gamma3")
+    if config.correlators:
+        raise ValueError("check needs correlators = false: a correlator sweep writes no "
+                         "curve files")
     ts, points = config.times(), config.points()
     listed = [(name, lam, g) for lam, gs in points for name, g in gs.items()]
     curves = {name: _read_curve(Path(config.outputs) / name, ts, g) for name, _, g in listed}

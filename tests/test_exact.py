@@ -378,11 +378,14 @@ def test_gamma_exact_weak_coupling_rows_against_extended_precision(model, lam, r
 
 def test_gamma_exact_memory_bounded_by_block(model):
     # the third case has 511 distinct widths: a table of all their step phasors would
-    # take about 67 MB at N = 20000, so they are taken per block
+    # take about 67 MB at N = 20000, so they are taken per block; in the fourth, building
+    # the per-mode coefficients of all 1e5 modes at once peaks near 19 MB, so they are
+    # built per mode chunk
     for N, lam, g, ts, bound in [(8000, 0.9, 2.5, np.linspace(0, 30, 32), 16e6),
                                  (20000, 0.0, 1.0, np.linspace(0, 5, 64), 8e6),
                                  (20000, 0.5, 1.0,
-                                  _uneven_times(np.random.default_rng(512), 512, 5.0), 8e6)]:
+                                  _uneven_times(np.random.default_rng(512), 512, 5.0), 8e6),
+                                 (200000, 0.5, 1.0, np.linspace(0, 5, 64), 8e6)]:
         params, grid = model(N, lam, g=g)
         tracemalloc.start()
         try:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -430,46 +431,72 @@ def test_only_a_pool_loads_multiprocessing(tmp_path):
 
 
 def test_run_sweep_failed_write_leaves_no_partial_file(tmp_path, monkeypatch):
-    """A write that fails part-way leaves no truncated or temporary file behind."""
-    config = small_config(tmp_path / "out")
-    outdir = Path(config.outputs)
-    outdir.mkdir(parents=True)
-    previous = outdir / curve_filename(0.5, 0.5)
-    previous.write_text("previous run\n")
-    real_open = open
-    writes = []
+    """A write that fails part-way leaves no truncated or temporary file behind, also
+    when the disk fills after the header and the first row block of a longer file."""
+    for t_steps, full_after in ((9, 0), (sweep_module.CSV_BLOCK_ROWS + 9, 2)):
+        case = tmp_path / str(t_steps)
+        config = small_config(case / "out", t_steps=t_steps)
+        outdir = Path(config.outputs)
+        outdir.mkdir(parents=True)
+        previous = outdir / curve_filename(0.5, 0.5)
+        previous.write_text("previous run\n")
+        real_open = open
+        writes, chunks_written = [], []
 
-    class DiskFull:
-        def __init__(self, fh):
-            self.fh = fh
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh = fh
 
-        def __enter__(self):
-            return self
+            def __enter__(self):
+                return self
 
-        def __exit__(self, *exc):
-            self.fh.close()
+            def __exit__(self, *exc):
+                self.fh.close()
 
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
-            self.fh.flush()
-            raise OSError("disk full")
+            def write(self, text):
+                if len(chunks_written) < full_after:
+                    chunks_written.append(text)
+                    return self.fh.write(text)
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
 
-    def open_failing_second_write(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        if "w" not in mode:
-            return fh
-        writes.append(file)
-        return DiskFull(fh) if len(writes) == 2 else fh
+        def open_failing_second_write(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" not in mode:
+                return fh
+            writes.append(file)
+            return DiskFull(fh) if len(writes) == 2 else fh
 
-    monkeypatch.setattr(sweep_module, "open", open_failing_second_write, raising=False)
-    with pytest.raises(OSError, match="disk full"):
-        run_sweep(config)
-    monkeypatch.undo()
-    assert len(writes) == 2
-    assert previous.read_text() == "previous run\n"
-    assert sorted(os.listdir(outdir)) == sorted([curve_filename(0.5, 0.0), previous.name])
-    reference = run_sweep(small_config(tmp_path / "ref"))
-    assert (outdir / curve_filename(0.5, 0.0)).read_bytes() == reference[0].read_bytes()
+        monkeypatch.setattr(sweep_module, "open", open_failing_second_write, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            run_sweep(config)
+        monkeypatch.undo()
+        assert len(writes) == 2
+        # the lines of the header and of one row block went out before the disk filled
+        lines = [1, sweep_module.CSV_BLOCK_ROWS][:full_after]
+        assert [chunk.count("\n") for chunk in chunks_written] == lines
+        assert previous.read_text() == "previous run\n"
+        assert sorted(os.listdir(outdir)) == sorted([curve_filename(0.5, 0.0), previous.name])
+        reference = run_sweep(small_config(case / "ref", t_steps=t_steps))
+        assert (outdir / curve_filename(0.5, 0.0)).read_bytes() == reference[0].read_bytes()
+
+
+def test_sweep_and_check_memory_bounded_by_row_block(tmp_path):
+    """Curve files are written and read a row block at a time: at 10000 times the
+    six 13-column files are about 1.7 MB of text each, which neither side holds."""
+    config = small_config(tmp_path, lambdas=(0.5, 1.0), gs=(0.25, 0.5, 1.0), N=4000,
+                          t_max=5.0, t_steps=10000, emit_exact=False)
+    peaks = []
+    for run, bound in ((run_sweep, 8e6), (check_figures, 4e6)):
+        tracemalloc.start()
+        try:
+            run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append((run.__name__, peak, bound))
+    assert all(peak < bound for _, peak, bound in peaks), peaks
 
 
 def test_summary_consistent_with_rows(tmp_path):
@@ -538,8 +565,8 @@ def test_csv_bytes_match_per_value_formatting():
                (np.float64(1.0), 1, None, 5e-324, True)]
     for header, rows in ((CURVE_HEADER, curve), (sweep_module.CORRELATOR_HEADER, correlators),
                          (SUMMARY_HEADER, summary)):
-        assert sweep_module._csv(header, rows) == _per_value_csv(header, rows)
-        assert sweep_module._csv(header, iter(rows)) == _per_value_csv(header, rows)
+        assert "".join(sweep_module._csv(header, rows)) == _per_value_csv(header, rows)
+        assert "".join(sweep_module._csv(header, iter(rows))) == _per_value_csv(header, rows)
 
 
 def test_correlator_dump_mode(tmp_path):
@@ -921,6 +948,16 @@ def test_check_refuses_orders_below_3(tmp_path, capsys):
         assert "Gamma2 with Gamma3" in captured.err and "PASS" not in captured.out
 
 
+def test_check_refuses_a_correlator_sweep(tmp_path, capsys):
+    """A correlator sweep writes no curve files, so there is nothing to judge."""
+    flags = ["--correlators", "--N", "8", "--t-steps", "4", "--out", str(tmp_path / "out")]
+    assert main(["sweep", *flags]) == 0
+    assert main(["check", *flags]) == 1
+    captured = capsys.readouterr()
+    assert "a correlator sweep writes no curve files" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_plain_check_refuses_curves_swept_below_order_3(tmp_path, capsys):
     """The curve files do not record orders: a default (orders = 3) check of an
     orders 1 or 2 sweep must not judge its all-zero Gamma3 columns."""
@@ -962,13 +999,19 @@ def test_check_judges_order3_sweeps_as_before(tmp_path):
 
 
 @pytest.mark.parametrize("corrupt", ["header", "non_numeric", "one_short_row",
-                                     "every_row_short"])
+                                     "every_row_short", "unkept_column_in_last_block"])
 def test_check_names_file_with_malformed_row(tmp_path, capsys, corrupt):
-    config = small_config(tmp_path, gs=(0.01,))
+    # the last case writes more than one row block, and check keeps no re_exact column
+    t_steps = sweep_module.CSV_BLOCK_ROWS + 9 if corrupt == "unkept_column_in_last_block" else 9
+    config = small_config(tmp_path, gs=(0.01,), t_steps=t_steps)
     run_sweep(config)
     path = Path(config.outputs) / curve_filename(0.5, 0.01)
     header, *rows = path.read_text().splitlines()
-    if corrupt == "header":
+    if corrupt == "unkept_column_in_last_block":
+        fields = rows[-1].split(",")
+        fields[CURVE_HEADER.split(",").index("re_exact")] = "abc"
+        rows[-1] = ",".join(fields)
+    elif corrupt == "header":
         header = header.replace("abs_g3", "abs_g4")
     elif corrupt == "non_numeric":
         fields = rows[2].split(",")
@@ -980,7 +1023,7 @@ def test_check_names_file_with_malformed_row(tmp_path, capsys, corrupt):
         rows = [row.rsplit(",", 1)[0] for row in rows]
     path.write_text("\n".join([header, *rows]) + "\n")
     flags = ["--lambdas", "0.5", "--gs", "0.01", "--N", "16", "--t-max", "2",
-             "--t-steps", "9", "--out", config.outputs]
+             "--t-steps", str(t_steps), "--out", config.outputs]
     assert main(["check", *flags]) == 1
     assert f"error: {path}: " in capsys.readouterr().err
 
@@ -1024,7 +1067,7 @@ def _write_curves(config, columns):
     Path(config.outputs).mkdir(parents=True)
     for (lam, g), (abs_g2, abs_g3) in columns.items():
         rows = [(t, *[0.0] * 10, a2, a3) for t, a2, a3 in zip(ts, abs_g2, abs_g3)]
-        text = sweep_module._csv(CURVE_HEADER, rows)
+        text = "".join(sweep_module._csv(CURVE_HEADER, rows))
         (Path(config.outputs) / curve_filename(lam, g)).write_text(text)
 
 
