@@ -20,24 +20,29 @@ import numpy as np
 from .model import KGrid, blocks
 
 
-def mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs) -> np.ndarray:
+def mode_cos_sum(grid: KGrid, weights: np.ndarray, diffs, out=None, scratch=None) -> np.ndarray:
     """sum_k weights_k * cos(2 eps_k d) over all N modes for every d in diffs;
     weights on the k > 0 half, doubled.  Each run of neighbouring modes with
     equal eps is one level: one cosine, weighted by the run's summed weight
     (with no two neighbours equal, the per-mode sum bit for bit).  Each row is
     reduced by its own sum, not a matrix product, whose last bits would depend
-    on the rows beside it."""
+    on the rows beside it.  With a contiguous ``out`` of diffs' size (or diffs
+    itself) and a 1-D ``scratch`` of one block of cosines, the same bits are
+    written there and nothing of diffs' size is allocated."""
     starts = np.flatnonzero(np.r_[True, grid.eps_pos[1:] != grid.eps_pos[:-1]])
     two_eps = 2.0 * grid.eps_pos[starts]
     weights = np.add.reduceat(weights, starts)
     flat = np.asarray(diffs, dtype=float).reshape(-1)
-    out = np.empty_like(flat)
+    sums = np.empty_like(flat) if out is None else out.reshape(-1)
     for i in blocks(flat.size, two_eps.size):
-        x = np.multiply.outer(flat[i], two_eps)
+        rows = flat[i].size
+        x = None if scratch is None else scratch[:rows * two_eps.size].reshape(rows, -1)
+        x = np.multiply.outer(flat[i], two_eps, out=x)
         np.cos(x, out=x)
         x *= weights
-        out[i] = x.sum(axis=1)
-    return 2.0 * out.reshape(np.shape(diffs))
+        x.sum(axis=1, out=sums[i])
+    sums *= 2.0
+    return sums.reshape(np.shape(diffs))[()]  # [()]: a 0-d result as a scalar
 
 
 def c1(grid: KGrid) -> float:

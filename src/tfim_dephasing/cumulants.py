@@ -18,7 +18,7 @@ lambda; ``scaled_terms`` forms Gamma1..3 and their sum from them as one (4, T)
 array, and ``gamma_series`` is its one-coupling, per-time view.  Both closed
 forms are checked against direct Gauss-Legendre quadrature of the kernels; for
 the third order the reference rule integrates the literal bracketed kernel
-cell by cell (spectral; the brackets once per cell).
+cell by cell (spectral; the brackets once per cell; one slab's buffers reused).
 """
 
 from dataclasses import dataclass
@@ -29,8 +29,8 @@ import numpy as np
 
 from .correlators import c1, c2_values, mode_cos_sum
 from .errors import QuadratureConvergenceError
-from .model import KGrid, ModelParams, block_size, blocks, checked_coupling, checked_times
-from .model import mode_chunks
+from .model import BLOCK_ELEMENTS, KGrid, ModelParams, block_size, blocks, checked_coupling
+from .model import checked_times, mode_chunks
 
 ORDER3_POINTS_CAP = 1024
 
@@ -227,7 +227,9 @@ def gamma_order3_quadrature(
     spectrally.  The brackets are constants on each cell and are evaluated once
     per cell; cells with equal brackets share one kernel, and a pair sum that no
     cell uses is skipped.  The outer axis is walked in ``blocks`` of
-    points^2-node rows, so memory is bounded by a slab, not by points^3.
+    points^2-node rows through three slab buffers (tc, then the weights; the
+    two pair sums) and a cosine scratch that then holds each kernel, all
+    allocated once per call, so memory is bounded by a slab, not by points^3.
     """
     g = checked_coupling(params, grid)
     if points < 2:
@@ -249,17 +251,30 @@ def gamma_order3_quadrature(
         cells.append(tuple(coefs[j] for j in range(3)))
     # ta - tb does not depend on the third axis
     s_ab = mode_cos_sum(grid, s2sq, ta - tb) if any(c[0] for c in cells) else None
+    slab = ta[next(blocks(points, points**2))].size * points**2
+    buffers = np.empty((3, slab))  # one slab's tc (then wt), s_ac and s_bc
+    scratch = np.empty(max(slab, BLOCK_ELEMENTS, s2sq.size))  # >= a block of cosines
     integral = 0.0
     for i in blocks(points, points**2):
-        nodes = (ta[i], tb[i], tb[i] * u)
-        pairs = (s_ab if s_ab is None else s_ab[i],
-                 mode_cos_sum(grid, s2sq, nodes[0] - nodes[2]),
-                 mode_cos_sum(grid, s2sq, nodes[1] - nodes[2]))
-        wt = wu[i, None, None] * wu[None, :, None] * wu * (t * nodes[0] * nodes[1])
+        tc, s_ac, s_bc = (b[:ta[i].size * points**2].reshape(-1, points, points) for b in buffers)
+        np.multiply(tb[i], u, out=tc)
+        for near, s in ((ta[i], s_ac), (tb[i], s_bc)):
+            np.subtract(near, tc, out=s)
+            mode_cos_sum(grid, s2sq, s, out=s, scratch=scratch)
+        wt = np.multiply(wu[i, None, None] * wu[None, :, None], wu, out=tc)
+        wt *= t * ta[i] * tb[i]
+        pairs = (s_ab if s_ab is None else s_ab[i], s_ac, s_bc)
+        kernel = scratch[:wt.size].reshape(wt.shape)  # the cosines are spent
         cell_sums = {}
         for coefs in dict.fromkeys(cells):  # cells with equal coefficients share a kernel
-            terms = [c * s for c, s in zip(coefs, pairs) if c]
-            cell_sums[coefs] = float(np.sum(wt * -sum(terms[1:], terms[0])))
+            # a bracket is 0 or 1: its two step products exclude each other
+            first, *rest = [s for c, s in zip(coefs, pairs) if c]
+            np.copyto(kernel, first)
+            for s in rest:
+                kernel += s
+            np.negative(kernel, out=kernel)
+            kernel *= wt
+            cell_sums[coefs] = float(kernel.sum())
         for coefs in cells:
             integral += cell_sums[coefs]
     return complex(0.0, -(4.0 / 3.0) * g**3 * integral)

@@ -298,9 +298,9 @@ def run_sweep(config: SweepConfig) -> list[Path]:
     if config.validate_order3 and config.orders >= 3 and not config.correlators:
         _validate_order3_once(config)
 
-    # one task per distinct lambda: its correlator dump, or its curves, in
-    # ceil(jobs / #lambda) strided parts when there are fewer lambdas than jobs
-    parts = 1 if config.correlators else -(-config.jobs // len(points))
+    # one task per distinct lambda: its correlator dump, or its curves, which with the
+    # exact route split into ceil(jobs / #lambda) strided parts if lambdas < jobs
+    parts = -(-config.jobs // len(points)) if config.emit_exact and not config.correlators else 1
     payloads = [(config, lam, list(gs.values())[j::parts]) for lam, gs in points
                 for j in range(min(parts, len(gs)))]
     if config.jobs > 1 and len(payloads) > 1:

@@ -164,6 +164,25 @@ def test_mode_cos_sum_one_cosine_per_level(model, monkeypatch, lam, levels):
     assert sum(counted) == diffs.size * levels
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_mode_cos_sum_shapes_and_buffers(model, lam):
+    # one level at lam = 0, N/2 levels at lam = 0.7; the out/scratch call writes
+    # the allocating call's bits into out, which may be diffs itself
+    _, grid = model(16, lam)
+    weights = grid.sin2theta_pos**2
+    diffs = np.random.default_rng(7).uniform(-9, 9, (2, 3))
+    for d in (np.float64(1.3), np.array(1.3), np.empty(0), diffs):
+        assert np.shape(mode_cos_sum(grid, weights, d)) == np.shape(d)
+    expected = mode_cos_sum(grid, weights, diffs)
+    scratch = np.empty(BLOCK_ELEMENTS)
+    out = np.empty_like(diffs)
+    mode_cos_sum(grid, weights, diffs, out=out, scratch=scratch)
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    inplace = diffs.copy()
+    mode_cos_sum(grid, weights, inplace, out=inplace, scratch=scratch)
+    assert np.array_equal(inplace.view(np.uint64), expected.view(np.uint64))
+
+
 def test_c2_bound(model):
     params, grid = model(30, 0.6)
     rng = np.random.default_rng(3)

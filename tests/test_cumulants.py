@@ -188,6 +188,42 @@ def test_gamma_order3_quadrature_memory_bounded_by_block(model):
     assert peak < 16e6
 
 
+def test_gamma_order3_quadrature_memory_at_validation_size(model):
+    # the validation's first rule: one slab of the 64-point cube is 2^16 nodes
+    params, grid = model(32, 0.5, g=1.0)
+    tracemalloc.start()
+    try:
+        gamma_order3_quadrature(params, grid, 5.0, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+# float64 bits of Im gamma_order3_quadrature at g = 1.3 beyond one slab (more than
+# 40 points): the slab sums, and their order, must not change
+QUADRATURE_BITS_BEYOND_ONE_SLAB = {
+    (32, 0.0, 5.0, 64): 0xc03fd9cc12bfa124,
+    (32, 0.0, 5.0, 96): 0xc03fd9cc12bfac0c,
+    (32, 0.0, -1.5, 64): 0x403a8aab9d6d6d16,
+    (32, 0.0, -1.5, 96): 0x403a8aab9d6d6da7,
+    (32, 0.5, 5.0, 64): 0xc02311decb7d7f56,
+    (32, 0.5, 5.0, 96): 0xc02311decb7d8dfe,
+    (32, 0.5, -1.5, 64): 0x3fea461be8a4109a,
+    (32, 0.5, -1.5, 96): 0x3fea461be8a41db1,
+    (4, 2.0, 0.5, 80): 0x3fbd2cfbc8afd329,
+}
+
+
+@pytest.mark.parametrize("N, lam, t, points", QUADRATURE_BITS_BEYOND_ONE_SLAB)
+def test_gamma_order3_quadrature_bits_beyond_one_slab(model, N, lam, t, points):
+    params, grid = model(N, lam, g=1.3)
+    got = gamma_order3_quadrature(params, grid, t, points)
+    assert got.real == 0.0
+    bits = int(np.float64(got.imag).view(np.uint64))
+    assert bits == QUADRATURE_BITS_BEYOND_ONE_SLAB[N, lam, t, points], got
+
+
 @pytest.mark.parametrize("N", [4, 32])
 def test_gamma_order3_quadrature_cells_at_nonpositive_t(model, N):
     # for t < 0 the nested rule reverses the node order (ta < tb < tc), so each

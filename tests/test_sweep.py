@@ -398,6 +398,21 @@ def test_run_sweep_splits_one_lambda_over_jobs(tmp_path, monkeypatch):
     assert [p.name for p in paths[:-1]] == [curve_filename(0.5, g) for g in (0.25, 0.5, 1.0)]
 
 
+def test_run_sweep_series_only_keeps_one_lambda_in_one_task(tmp_path, monkeypatch):
+    """Without the exact route a split would only rebuild the grid and the mode
+    sums per part, so one lambda stays one task: no pool, the --jobs 1 bytes."""
+    def no_pool(max_workers):
+        raise AssertionError(f"pool of {max_workers} started")
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+    kw = dict(gs=(0.25, 0.5, 1.0), emit_exact=False)
+    serial = run_sweep(small_config(tmp_path / "serial", jobs=1, **kw))
+    jobs2 = run_sweep(small_config(tmp_path / "jobs2", jobs=2, **kw))
+    assert [p.name for p in jobs2] == [p.name for p in serial]
+    for ps, pj in zip(serial, jobs2):
+        assert pj.read_bytes() == ps.read_bytes(), ps.name
+
+
 def test_only_a_pool_loads_multiprocessing(tmp_path):
     """In a fresh interpreter, commands that start no pool leave multiprocessing
     unimported; a --jobs 2 sweep over two lambdas starts a real pool and writes the
